@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint test bench bench-full bench-artifact bench-baseline bench-compare pdes-smoke trace-smoke topo-smoke serve-smoke sched-smoke surrogate-smoke docs docs-check suite clean
+.PHONY: all build lint test perfbench-check bench bench-full bench-artifact bench-baseline bench-compare pdes-smoke trace-smoke topo-smoke serve-smoke sched-smoke surrogate-smoke docs docs-check suite clean
 
 all: lint build test
 
@@ -16,6 +16,13 @@ lint:
 
 test:
 	$(GO) test -race ./...
+
+# The benchmark of record's self-tests. perfbench/ is a nested module
+# the root vet/test never reach; its tests run both workloads and the
+# traced per-layer run and check every output (~100 s).
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # One iteration of every benchmark: the CI smoke that keeps the
 # reproduction-record benches runnable. Use bench-full for measurements.

@@ -362,13 +362,10 @@ type pendingRun struct {
 // The spawned state is exactly what Run builds, so finishing a prepared
 // run yields a Result byte-identical to Run's.
 func prepare(eng *sim.Engine, cfg Config, op Op, size units.Size) (*pendingRun, error) {
+	if err := checkConfig(cfg); err != nil {
+		return nil, err
+	}
 	ranks := len(cfg.Places)
-	if ranks == 0 {
-		return nil, fmt.Errorf("collectives: no ranks placed")
-	}
-	if cfg.Root < 0 || cfg.Root >= ranks {
-		return nil, fmt.Errorf("collectives: root %d outside %d ranks", cfg.Root, ranks)
-	}
 	if size < 0 {
 		return nil, fmt.Errorf("collectives: negative size %d", size)
 	}
@@ -385,6 +382,32 @@ func prepare(eng *sim.Engine, cfg Config, op Op, size units.Size) (*pendingRun, 
 		})
 	}
 	return pr, nil
+}
+
+// checkConfig validates what every entry point builds its comms from:
+// at least one rank, a root among them, a fabric, and every rank on a
+// node inside that fabric and on a real Opteron core.
+func checkConfig(cfg Config) error {
+	ranks := len(cfg.Places)
+	if ranks == 0 {
+		return fmt.Errorf("collectives: no ranks placed")
+	}
+	if cfg.Root < 0 || cfg.Root >= ranks {
+		return fmt.Errorf("collectives: root %d outside %d ranks", cfg.Root, ranks)
+	}
+	if cfg.Fabric == nil {
+		return fmt.Errorf("collectives: nil fabric")
+	}
+	for r, pl := range cfg.Places {
+		if !cfg.Fabric.Contains(pl.Node) {
+			return fmt.Errorf("collectives: rank %d placed on %v outside the %d-node fabric",
+				r, pl.Node, cfg.Fabric.Nodes())
+		}
+		if pl.Core < 0 || pl.Core > 3 {
+			return fmt.Errorf("collectives: rank %d on core %d (want 0..3)", r, pl.Core)
+		}
+	}
+	return nil
 }
 
 // finish validates the completed run's semantic payloads and assembles
@@ -500,10 +523,10 @@ type Spec struct {
 // separate iterations with a barrier that costs nothing on the wire).
 // Per-operation times are measured from that common start.
 func RunSequence(cfg Config, specs []Spec) ([]*Result, error) {
-	ranks := len(cfg.Places)
-	if ranks == 0 {
-		return nil, fmt.Errorf("collectives: no ranks placed")
+	if err := checkConfig(cfg); err != nil {
+		return nil, err
 	}
+	ranks := len(cfg.Places)
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("collectives: empty sequence")
 	}

@@ -2,6 +2,7 @@ package collectives
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"roadrunner/internal/fabric"
@@ -307,6 +308,58 @@ func TestUnknownOpAndBadConfig(t *testing.T) {
 	}
 	if _, err := Run(Config{}, BcastBinomial, 0); err == nil {
 		t.Error("empty placement accepted")
+	}
+}
+
+// TestBadConfigErrors: every entry point rejects a config whose ranks
+// fall outside the fabric or its cores, or that has no fabric at all,
+// with an error instead of a panic inside a rank proc.
+func TestBadConfigErrors(t *testing.T) {
+	cases := []struct {
+		name, want string
+		edit       func(*Config)
+	}{
+		{"node beyond fabric", "outside the 360-node fabric", func(c *Config) {
+			c.Places[3].Node = fabric.FromGlobal(400)
+		}},
+		{"absurd CU", "outside the 360-node fabric", func(c *Config) {
+			c.Places[1].Node = fabric.NodeID{CU: math.MaxInt / 90, Node: 0}
+		}},
+		{"negative node", "outside the 360-node fabric", func(c *Config) {
+			c.Places[2].Node = fabric.NodeID{CU: 1, Node: -1}
+		}},
+		{"core 7", "core 7", func(c *Config) { c.Places[5].Core = 7 }},
+		{"core -1", "core -1", func(c *Config) { c.Places[0].Core = -1 }},
+		{"nil fabric", "nil fabric", func(c *Config) { c.Fabric = nil }},
+		{"root", "root 360", func(c *Config) { c.Root = 360 }},
+	}
+	entries := []struct {
+		name string
+		run  func(Config) error
+	}{
+		{"Run", func(c Config) error { _, err := Run(c, AlltoallPairwise, 64*units.KB); return err }},
+		{"RunMany", func(c Config) error {
+			_, err := RunMany([]Request{{Cfg: c, Op: AlltoallPairwise, Size: 64 * units.KB}}, 1)
+			return err
+		}},
+		{"RunSequence", func(c Config) error {
+			_, err := RunSequence(c, []Spec{{Op: BcastBinomial, Size: units.KB}})
+			return err
+		}},
+	}
+	for _, tc := range cases {
+		for _, e := range entries {
+			cfg, err := CongestedConfig(360)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Places = append([]Placement(nil), cfg.Places...)
+			tc.edit(&cfg)
+			err = e.run(cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s via %s: error %v, want one mentioning %q", tc.name, e.name, err, tc.want)
+			}
+		}
 	}
 }
 

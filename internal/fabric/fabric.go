@@ -83,6 +83,13 @@ func NewScaled(cus int) *System {
 // Nodes returns the total compute-node count.
 func (s *System) Nodes() int { return s.CUs * params.NodesPerCU }
 
+// Contains reports whether the node lies inside the fabric. It bounds
+// the CU index directly: GlobalID's CU*NodesPerCU product overflows int
+// for absurd CU values and would wrap negative past a Nodes() compare.
+func (s *System) Contains(n NodeID) bool {
+	return n.CU >= 0 && n.CU < s.CUs && n.Node >= 0 && n.Node < params.NodesPerCU
+}
+
 // nodesPerLineXbar is how many compute nodes share one line crossbar.
 const nodesPerLineXbar = 8
 

@@ -446,3 +446,52 @@ func jsonString(s string) string {
 	b, _ := json.Marshal(s)
 	return string(b)
 }
+
+// TestSettledJobDropsWork: once a job is done or failed it no longer
+// holds its work closure (which keeps the submission's trace alive),
+// while a job born finished from the artifact cache keeps its result.
+func TestSettledJobDropsWork(t *testing.T) {
+	s := New(Options{Workers: 1})
+	defer s.Close()
+	holdsWork := func(j *Job) bool {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		return j.run != nil
+	}
+
+	body := []byte(`{"trace":` + jsonString(ringTraceJSONL(t, 4, 64*units.KB)) + `}`)
+	want := submitWait(t, s, "/v1/replay", body)
+	done, ok := s.lookup("re-" + jobKey("replay", body)[:24])
+	if !ok {
+		t.Fatal("finished replay job not in the registry")
+	}
+	if holdsWork(done) {
+		t.Error("done job still holds its work closure")
+	}
+	if data, state, _ := done.resultBytes(); state != StateDone || !bytes.Equal(data, want) {
+		t.Errorf("done job state %q, result changed", state)
+	}
+
+	failed := newJob("rp-fail", "replay", "k", "", func() ([]byte, error) { return nil, fmt.Errorf("no") })
+	if _, aerr := s.register(failed); aerr != nil {
+		t.Fatalf("register: %v", aerr)
+	}
+	s.queue <- failed
+	deadline := time.Now().Add(10 * time.Second)
+	for !failed.settled() {
+		if time.Now().After(deadline) {
+			t.Fatal("failing job never settled")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if holdsWork(failed) {
+		t.Error("failed job still holds its work closure")
+	}
+
+	cached := newJob("rp-cached", "replay", "k", "", nil)
+	cached.finish([]byte("artifact"), true)
+	state, _, isCached, _, _, _ := cached.snapshot()
+	if data, _, _ := cached.resultBytes(); state != StateDone || !isCached || string(data) != "artifact" {
+		t.Errorf("cache-born job: state %q cached %v result %q", state, isCached, data)
+	}
+}

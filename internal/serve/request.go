@@ -13,7 +13,6 @@ import (
 	"roadrunner/internal/collectives"
 	"roadrunner/internal/fabric"
 	"roadrunner/internal/ib"
-	"roadrunner/internal/params"
 	"roadrunner/internal/placement"
 	"roadrunner/internal/trace"
 	"roadrunner/internal/transport"
@@ -103,11 +102,7 @@ func (p *placementSpec) endpoints(fab *fabric.System, ranks int) ([]transport.En
 		}
 		out := make([]transport.Endpoint, ranks)
 		for i, e := range p.Places {
-			// Bound the CU index directly rather than via GlobalID():
-			// CU*NodesPerCU overflows int for absurd CU values and would
-			// wrap negative past a fab.Nodes() comparison.
-			if e.CU < 0 || e.CU >= fab.Nodes()/params.NodesPerCU ||
-				e.Node < 0 || e.Node >= params.NodesPerCU {
+			if !fab.Contains(fabric.NodeID{CU: e.CU, Node: e.Node}) {
 				return nil, badRequest("rank %d placed at cu %d node %d outside the %d-node fabric",
 					i, e.CU, e.Node, fab.Nodes())
 			}

@@ -359,7 +359,7 @@ type Job struct {
 	Kind     string
 	key      string
 	cacheKey string
-	run      func() ([]byte, error)
+	run      func() ([]byte, error) // the work; nil once the job settles
 
 	mu        sync.Mutex
 	state     JobState
@@ -384,12 +384,16 @@ func (j *Job) setRunning() {
 	j.mu.Unlock()
 }
 
+// finish and fail settle the job. Both drop the work closure: it holds
+// the submission's decoded trace and inline text, which a registry of
+// finished jobs would otherwise keep alive until eviction.
 func (j *Job) finish(data []byte, cached bool) {
 	j.mu.Lock()
 	j.state = StateDone
 	j.result = data
 	j.cached = cached
 	j.finished = time.Now()
+	j.run = nil
 	j.mu.Unlock()
 }
 
@@ -398,6 +402,7 @@ func (j *Job) fail(err error) {
 	j.state = StateFailed
 	j.err = err.Error()
 	j.finished = time.Now()
+	j.run = nil
 	j.mu.Unlock()
 }
 

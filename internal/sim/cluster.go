@@ -377,18 +377,16 @@ func (c *Cluster) merge() error {
 }
 
 // deadlocks aggregates per-domain deadlock state after the calendars
-// drained: any domain with live non-daemon procs still parked is stuck.
+// drained: any domain with live procs still parked is stuck.
 func (c *Cluster) deadlocks() error {
 	var all []string
 	var t units.Time
 	for i, d := range c.doms {
-		if d.procs.n <= d.daemons {
+		if d.procs.n == 0 {
 			continue
 		}
 		for p := d.procs.head; p != nil; p = p.next {
-			if !p.daemon {
-				all = append(all, fmt.Sprintf("domain %d: %s (%s)", i, p.name, p.parkReason))
-			}
+			all = append(all, fmt.Sprintf("domain %d: %s (%s)", i, p.name, p.parkReason))
 		}
 		if d.now > t {
 			t = d.now

@@ -10,17 +10,19 @@
 // simulation deterministic and free of data races without any locking in
 // model code.
 //
-// The calendar is a binary min-heap of event values held in one slab
+// The calendar is a 4-ary min-heap of event values held in one slab
 // slice: scheduling an event costs no allocation beyond amortised slice
 // growth, and dispatching never touches the garbage collector. Procs ride
-// iter.Pull coroutines (direct runtime switches, no channel round trips),
-// the live set is an intrusive list threaded through the Procs themselves,
-// and a finished engine can be Reset — calendar slab, list headers and
-// daemon procs retained — so pooled callers (the trace replay evaluator)
-// pay construction once per search, not per evaluation. All of it matters
-// because the experiment orchestrator runs one engine per experiment
-// across all CPUs at once, and the placement optimizer replays tens of
-// thousands of evaluations per run.
+// iter.Pull coroutines (direct runtime switches, no channel round trips)
+// and the live set is an intrusive list threaded through the Procs
+// themselves. Models whose actors never block — the trace replay's
+// event-driven rank walkers — schedule plain events and need no procs at
+// all. A finished engine can be Reset with its calendar slab retained,
+// so pooled callers (the replay evaluator) pay construction once per
+// search, not per evaluation. All of it matters because the experiment
+// orchestrator runs one engine per experiment across all CPUs at once,
+// and the placement optimizer replays tens of thousands of evaluations
+// per run.
 package sim
 
 import (
@@ -44,11 +46,10 @@ type event struct {
 type Engine struct {
 	now    units.Time
 	seq    int64
-	events []event // binary min-heap ordered by (at, seq)
+	events []event // 4-ary min-heap ordered by (at, seq)
 
-	procs   procList // all live (not yet finished) procs
-	daemons int      // live procs spawned with SpawnDaemon
-	closed  bool
+	procs  procList // all live (not yet finished) procs
+	closed bool
 
 	dispatched int64 // events executed over the engine's lifetime
 	peakEvents int   // calendar high-water mark
@@ -163,37 +164,36 @@ type Stats struct {
 	ParkedProcs  int   // procs currently blocked
 }
 
-// Stats returns the engine's lifetime counters. Daemon procs are
-// infrastructure, not simulation state, and are not counted.
+// Stats returns the engine's lifetime counters.
 func (e *Engine) Stats() Stats {
 	parked := 0
 	for p := e.procs.head; p != nil; p = p.next {
-		if p.state == procParked && !p.daemon {
+		if p.state == procParked {
 			parked++
 		}
 	}
 	return Stats{
 		Dispatched:   e.dispatched,
 		CalendarPeak: e.peakEvents,
-		LiveProcs:    e.procs.n - e.daemons,
+		LiveProcs:    e.procs.n,
 		ParkedProcs:  parked,
 	}
 }
 
 // Reset returns a finished engine to its initial state — time zero,
-// empty calendar, zeroed counters — while keeping the calendar slab and
-// the proc-list headers allocated, so a pooled engine replays a fresh
-// workload without rebuilding its structures. A run that completed
-// cleanly (Run returned nil and every proc finished) resets to a state
-// byte-identical to NewEngine's apart from retained capacity; resetting
-// a closed engine, or one with live procs or queued events, panics —
-// those runs must be torn down with Close instead.
+// empty calendar, zeroed counters — while keeping the calendar slab
+// allocated, so a pooled engine replays a fresh workload without
+// rebuilding its structures. A run that completed cleanly (Run returned
+// nil and every proc finished) resets to a state byte-identical to
+// NewEngine's apart from retained capacity; resetting a closed engine,
+// or one with live procs or queued events, panics — those runs must be
+// torn down with Close instead.
 func (e *Engine) Reset() {
 	if e.closed {
 		panic("sim: reset of a closed engine")
 	}
-	if e.procs.n > e.daemons {
-		panic(fmt.Sprintf("sim: reset with %d live proc(s)", e.procs.n-e.daemons))
+	if e.procs.n > 0 {
+		panic(fmt.Sprintf("sim: reset with %d live proc(s)", e.procs.n))
 	}
 	if len(e.events) > 0 {
 		panic(fmt.Sprintf("sim: reset with %d queued event(s)", len(e.events)))
@@ -260,15 +260,12 @@ func (e *Engine) run(until units.Time) error {
 		e.dispatched++
 		ev.fn()
 	}
-	if until < 0 && e.procs.n > e.daemons {
+	if until < 0 && e.procs.n > 0 {
 		// Control only returns to the loop when every live proc is
-		// blocked, so an empty calendar with live non-daemon procs is a
-		// deadlock.
+		// blocked, so an empty calendar with live procs is a deadlock.
 		d := &DeadlockError{Time: e.now}
 		for p := e.procs.head; p != nil; p = p.next {
-			if !p.daemon {
-				d.Procs = append(d.Procs, p.name+" ("+p.parkReason+")")
-			}
+			d.Procs = append(d.Procs, p.name+" ("+p.parkReason+")")
 		}
 		sort.Strings(d.Procs)
 		return d
@@ -290,6 +287,5 @@ func (e *Engine) Close() {
 		p = next
 	}
 	e.procs = procList{}
-	e.daemons = 0
 	e.events = nil
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"strings"
 	"testing"
 
 	"roadrunner/internal/units"
@@ -74,55 +73,6 @@ func TestEngineResetRefusesDirtyState(t *testing.T) {
 	e3 := NewEngine()
 	e3.Close()
 	expectPanic("closed engine", e3.Reset)
-}
-
-// TestDaemonProcs: daemons park between runs without tripping deadlock
-// detection, are invisible in Stats, allow Reset while parked, and a
-// wake resumes them on the recycled calendar.
-func TestDaemonProcs(t *testing.T) {
-	e := NewEngine()
-	defer e.Close()
-	var runs int
-	var last units.Time
-	d := e.SpawnDaemon("walker", func(p *Proc) {
-		for {
-			p.Sleep(3 * units.Microsecond)
-			runs++
-			last = p.Now()
-			p.Park("idle")
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("daemon counted as deadlock: %v", err)
-	}
-	if runs != 1 || last != 3*units.Microsecond {
-		t.Fatalf("first pass: runs %d at %v", runs, last)
-	}
-	if st := e.Stats(); st.LiveProcs != 0 || st.ParkedProcs != 0 {
-		t.Errorf("daemon leaked into stats: %+v", st)
-	}
-	e.Reset()
-	d.Wake()
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if runs != 2 || last != 3*units.Microsecond {
-		t.Errorf("second pass: runs %d at %v (want recycled clock)", runs, last)
-	}
-	// A non-daemon blocking alongside an idle daemon still deadlocks,
-	// and the report names only the non-daemon.
-	e.Reset()
-	d.Wake()
-	box := NewMailbox[int](e, "never")
-	e.Spawn("blocked", func(p *Proc) { box.Get(p) })
-	err := e.Run()
-	de, ok := err.(*DeadlockError)
-	if !ok {
-		t.Fatalf("deadlock not detected: %v", err)
-	}
-	if len(de.Procs) != 1 || !strings.Contains(de.Procs[0], "blocked") {
-		t.Errorf("deadlock report %v, want only the non-daemon", de.Procs)
-	}
 }
 
 // TestWakeAfter: the timed wake lands exactly at now+delay and respects

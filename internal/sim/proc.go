@@ -99,7 +99,6 @@ type Proc struct {
 	state       procState
 	wakePending bool
 	killed      bool
-	daemon      bool
 	parkReason  string
 }
 
@@ -108,20 +107,6 @@ type Proc struct {
 // blocking structures in this package.
 func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 	return e.SpawnAt(0, name, body)
-}
-
-// SpawnDaemon creates a process excluded from deadlock detection and
-// engine statistics: pooled infrastructure (the replay evaluator's
-// per-rank walkers) that parks between runs by design. A calendar that
-// empties with only daemons parked is a clean finish, so a daemon's
-// owner must check its own progress invariants — the engine cannot
-// distinguish an idle daemon from a stuck one. Daemons are torn down by
-// Close like any other proc.
-func (e *Engine) SpawnDaemon(name string, body func(p *Proc)) *Proc {
-	p := e.SpawnAt(0, name, body)
-	p.daemon = true
-	e.daemons++
-	return p
 }
 
 // SpawnAt creates a process that starts after the given delay.
@@ -172,9 +157,6 @@ func (e *Engine) resumeProc(p *Proc) {
 		// The body returned: the proc is finished.
 		p.state = procDone
 		e.procs.remove(p)
-		if p.daemon {
-			e.daemons--
-		}
 	}
 }
 
@@ -212,23 +194,17 @@ func (p *Proc) Park(reason string) {
 // called from simulation context (another proc or an event callback), and
 // panics if the target already has a wake pending or is not parked —
 // double wakes are model bugs.
-func (p *Proc) Wake() {
-	if p.state == procDone {
-		panic(fmt.Sprintf("sim: wake of finished proc %q", p.name))
-	}
-	if p.wakePending {
-		panic(fmt.Sprintf("sim: double wake of proc %q", p.name))
-	}
-	p.wakePending = true
-	p.eng.Schedule(0, p.resumeFn)
-}
+func (p *Proc) Wake() { p.WakeAfter(0) }
 
 // WakeAfter schedules a parked proc to resume after delay d: Wake with a
-// timed fuse. Event chains that end by handing control back to a blocked
-// proc (the transport's chained transfers) use it so the proc's timed
-// resume occupies exactly the calendar slot a Sleep from event context
-// would have.
-func (p *Proc) WakeAfter(d units.Time) {
+// timed fuse.
+func (p *Proc) WakeAfter(d units.Time) { p.eng.Schedule(d, p.Resumer()) }
+
+// Resumer marks a wake pending on the proc and returns its resume event,
+// for an event chain that hands control back to the parked proc (the
+// transport's chained transfers): the chain schedules it exactly once,
+// at delay d taking the slot WakeAfter(d) would. It panics as Wake does.
+func (p *Proc) Resumer() func() {
 	if p.state == procDone {
 		panic(fmt.Sprintf("sim: wake of finished proc %q", p.name))
 	}
@@ -236,7 +212,7 @@ func (p *Proc) WakeAfter(d units.Time) {
 		panic(fmt.Sprintf("sim: double wake of proc %q", p.name))
 	}
 	p.wakePending = true
-	p.eng.Schedule(d, p.resumeFn)
+	return p.resumeFn
 }
 
 // WakePending reports whether the proc already has a wake scheduled.

@@ -32,7 +32,7 @@
 // squares against a small set of DES-evaluated anchor placements
 // (Calibrate) — the grey-box step: physics decides the features,
 // calibration absorbs the constants the closed forms cannot know.
-// Everything is deterministic: the walk's event heap breaks ties by
+// Everything is deterministic: the walk's event queue breaks ties by
 // (time, kind, rank) and float accumulation follows the canonical pair
 // order, so equal inputs price equally on every run and every clone,
 // which the placement search's serial ≡ parallel contract relies on.
@@ -141,17 +141,16 @@ type Model struct {
 	pairs []pairInfo
 
 	// Per-candidate walk and load buffers.
-	clk         []int64   // per rank
-	pc          []int32   // per rank: next record index
-	fRem        []int64   // per rank: in-flight payload remaining
-	deliv       []int64   // per record: send's delivery time (0 = not yet)
-	waiter      []int32   // per record: rank blocked on this send, -1 none
-	nOutC, nInC []int32   // per global node: active flow counts by direction
-	linkBusy    []int64   // per dense link: busy-until (queueing policies)
-	heap        []walkEv  // pending flow events, packed keys
-	work        []int32   // runnable-rank stack
-	lbytes      []float64 // per dense link
-	lmsgs       []float64 // per dense link
+	rk          []walkRank // per rank
+	deliv       []int64    // per record: send's delivery time (0 = not yet)
+	waiter      []int32    // per record: rank blocked on this send, -1 none
+	nOutC, nInC []int32    // per global node: active flow counts by direction
+	linkBusy    []int64    // per dense link: busy-until (queueing policies)
+	evq         []walkEv   // pending flow events from evHead on, packed keys
+	evHead      int        // evq index of the earliest pending event
+	work        []int32    // runnable-rank stack
+	lbytes      []float64  // per dense link
+	lmsgs       []float64  // per dense link
 	ltouch      []int32
 	nin, nout   []float64 // per global node
 	ntouch      []int32
@@ -294,14 +293,12 @@ func newModel(mat *trace.TrafficMatrix, dag *compiled, fab *fabric.System, prof 
 		routes:   make([][]routeEntry, fab.CacheRows()),
 		lbuf:     make([]fabric.Link, 0, fab.MaxRouteLen()),
 		pairs:    make([]pairInfo, len(mat.Pairs)),
-		clk:      make([]int64, mat.Ranks),
-		pc:       make([]int32, mat.Ranks),
-		fRem:     make([]int64, mat.Ranks),
+		rk:       make([]walkRank, mat.Ranks),
 		deliv:    make([]int64, len(dag.ops)),
 		waiter:   waiter,
 		nOutC:    make([]int32, fab.Nodes()),
 		nInC:     make([]int32, fab.Nodes()),
-		heap:     make([]walkEv, 0, 2*mat.Ranks),
+		evq:      make([]walkEv, 0, 2*mat.Ranks),
 		work:     make([]int32, 0, mat.Ranks),
 		nin:      make([]float64, fab.Nodes()),
 		nout:     make([]float64, fab.Nodes()),
@@ -351,7 +348,7 @@ type pairInfo struct {
 }
 
 // walkEv is one pending flow event, its ordering key packed into two
-// int64 words so heap moves are two stores: k1 = time<<1 | kind (chunk
+// int64 words so queue moves are two stores: k1 = time<<1 | kind (chunk
 // ends sort before starts at the same instant) and k2 = arrival<<20 |
 // rank. The arrival key is a start event's first admission attempt:
 // flows re-queued behind a busy link compete again when it frees, and
@@ -363,49 +360,44 @@ type pairInfo struct {
 // insertion history.
 type walkEv struct{ k1, k2 int64 }
 
-// evPush adds a walk event, sifting a hole up instead of swapping.
+// walkRank is one rank's walk state, kept together so a flow event
+// touches one record: the rank's clock, its next op, and the pair and
+// remaining payload of the flow it has in flight.
+type walkRank struct {
+	clk, rem int64
+	pc, pair int32
+}
+
+// evPush adds a walk event. The queue, evq[evHead:], holds at most one
+// event per rank, sorted earliest first: pops advance evHead and an
+// insertion shifts only the pending events later than it — few on the
+// wavefront schedules traces carry, where a new flow event lands near
+// the back. That beats a binary heap's sift-down per pop, whose
+// data-dependent branches mispredict at every level.
 func (m *Model) evPush(t, arr int64, kind uint8, r int32) {
 	k1 := t<<1 | int64(kind)
 	k2 := arr<<20 | int64(r)
-	h := append(m.heap, walkEv{})
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p].k1 < k1 || (h[p].k1 == k1 && h[p].k2 < k2) {
-			break
-		}
-		h[i] = h[p]
-		i = p
+	q, h := m.evq, m.evHead
+	if len(q) == cap(q) && h > 0 {
+		q = q[:copy(q, q[h:])]
+		h, m.evHead = 0, 0
 	}
-	h[i] = walkEv{k1, k2}
-	m.heap = h
+	q = append(q, walkEv{})
+	i := len(q) - 1
+	for i > h && (q[i-1].k1 > k1 || (q[i-1].k1 == k1 && q[i-1].k2 > k2)) {
+		q[i] = q[i-1]
+		i--
+	}
+	q[i] = walkEv{k1, k2}
+	m.evq = q
 }
 
 // evPop removes and returns the earliest walk event's packed keys.
 func (m *Model) evPop() (int64, int64) {
-	h := m.heap
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h = h[:n]
-	m.heap = h
-	i := 0
-	for {
-		s := 2*i + 1
-		if s >= n {
-			break
-		}
-		if r := s + 1; r < n && (h[r].k1 < h[s].k1 || (h[r].k1 == h[s].k1 && h[r].k2 < h[s].k2)) {
-			s = r
-		}
-		if last.k1 < h[s].k1 || (last.k1 == h[s].k1 && last.k2 < h[s].k2) {
-			break
-		}
-		h[i] = h[s]
-		i = s
-	}
-	if n > 0 {
-		h[i] = last
+	top := m.evq[m.evHead]
+	m.evHead++
+	if m.evHead == len(m.evq) {
+		m.evq, m.evHead = m.evq[:0], 0
 	}
 	return top.k1, top.k2
 }
@@ -513,7 +505,7 @@ func (m *Model) features(places []transport.Endpoint) *[NumFeatures]float64 {
 		m.nOutC[g], m.nInC[g] = 0, 0
 	}
 	m.ntouch = m.ntouch[:0]
-	clear(m.clk)
+	clear(m.rk)
 
 	// Pass 1 — per-pair tables under this mapping, plus per-link and
 	// per-node offered load, in canonical pair order.
@@ -575,14 +567,13 @@ func (m *Model) features(places []transport.Endpoint) *[NumFeatures]float64 {
 	d := m.dag
 	ops, pairs := d.ops, m.pairs
 	deliv, waiter := m.deliv, m.waiter
-	nOutC, nInC, linkBusy, fRem := m.nOutC, m.nInC, m.linkBusy, m.fRem
+	nOutC, nInC, linkBusy, rk := m.nOutC, m.nInC, m.linkBusy, m.rk
 	mfPs, dupPs, queueing := m.mfPs, m.dupPs, m.queueing
-	pc, clk := m.pc, m.clk
 	clear(deliv)
-	m.heap = m.heap[:0]
+	m.evq, m.evHead = m.evq[:0], 0
 	work := m.work[:0]
 	for r := m.mat.Ranks - 1; r >= 0; r-- {
-		pc[r] = d.off[r]
+		rk[r].pc = d.off[r]
 		work = append(work, int32(r))
 	}
 	for {
@@ -594,7 +585,8 @@ func (m *Model) features(places []transport.Endpoint) *[NumFeatures]float64 {
 		for len(work) > 0 {
 			r := work[len(work)-1]
 			work = work[:len(work)-1]
-			i, c := pc[r], clk[r]
+			rs := &rk[r]
+			i, c := rs.pc, rs.clk
 			end := d.off[r+1]
 		run:
 			for i < end {
@@ -630,22 +622,22 @@ func (m *Model) features(places []transport.Endpoint) *[NumFeatures]float64 {
 				if op.rdv {
 					start += pe.rdvT
 				}
+				rs.pair, rs.rem = op.pair, op.size
 				m.evPush(start, start, evStart, r)
 				break run
 			}
 			if i == end {
 				c += d.tail[r]
 			}
-			pc[r], clk[r] = i, c
+			rs.pc, rs.clk = i, c
 		}
-		if len(m.heap) == 0 {
+		if m.evHead == len(m.evq) {
 			break
 		}
 		k1, k2 := m.evPop()
 		t, r := k1>>1, int32(k2&(1<<20-1))
-		i := pc[r]
-		op := &ops[i]
-		pe := &pairs[op.pair]
+		rs := &rk[r]
+		pe := &pairs[rs.pair]
 		sg, dg := pe.srcN, pe.dstN
 		if k1&1 == evStart {
 			if queueing {
@@ -663,8 +655,7 @@ func (m *Model) features(places []transport.Endpoint) *[NumFeatures]float64 {
 			}
 			nOutC[sg]++
 			nInC[dg]++
-			rem := op.size
-			fRem[r] = rem
+			rem := rs.rem
 			ps := ratePs(pe.stream, mfPs, dupPs, nOutC[sg], nInC[sg], nOutC[dg], nInC[dg])
 			chunk := min64(rem, walkChunk)
 			m.evPush(t+int64(float64(chunk)*ps+0.5), 0, evEnd, r)
@@ -677,9 +668,9 @@ func (m *Model) features(places []transport.Endpoint) *[NumFeatures]float64 {
 			continue
 		}
 		// evEnd: one chunk done.
-		rem := fRem[r] - min64(fRem[r], walkChunk)
+		rem := rs.rem - min64(rs.rem, walkChunk)
 		if rem > 0 {
-			fRem[r] = rem
+			rs.rem = rem
 			ps := ratePs(pe.stream, mfPs, dupPs, nOutC[sg], nInC[sg], nOutC[dg], nInC[dg])
 			chunk := min64(rem, walkChunk)
 			m.evPush(t+int64(float64(chunk)*ps+0.5), 0, evEnd, r)
@@ -698,9 +689,10 @@ func (m *Model) features(places []transport.Endpoint) *[NumFeatures]float64 {
 		// already wrote exactly this completion time.
 		nOutC[sg]--
 		nInC[dg]--
-		clk[r] = t
+		i := rs.pc
+		rs.clk = t
 		deliv[i] = t + pe.deliv
-		pc[r] = i + 1
+		rs.pc = i + 1
 		work = append(work, r)
 		if w := waiter[i]; w >= 0 {
 			waiter[i] = -1
@@ -709,9 +701,9 @@ func (m *Model) features(places []transport.Endpoint) *[NumFeatures]float64 {
 	}
 	m.work = work[:0]
 	sched := int64(0)
-	for _, c := range m.clk {
-		if c > sched {
-			sched = c
+	for _, rs := range m.rk {
+		if rs.clk > sched {
+			sched = rs.clk
 		}
 	}
 

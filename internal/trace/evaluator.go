@@ -2,10 +2,9 @@ package trace
 
 import (
 	"fmt"
-	"strconv"
+	"slices"
 
 	"roadrunner/internal/fabric"
-	"roadrunner/internal/params"
 	"roadrunner/internal/sim"
 	"roadrunner/internal/transport"
 	"roadrunner/internal/units"
@@ -13,22 +12,23 @@ import (
 
 // Evaluator is the batch replay evaluation path: everything a replay
 // repeats across placements — trace validation, the compiled record
-// streams, the sim engine with its rank procs, the transport's HCA and
-// link state, the per-send delivery events and the proc-name strings —
-// is built once, and each Evaluate call replays the trace under a new
-// rank→node mapping on the pooled state. The placement optimizer calls
-// the replay tens of thousands of times; paying validation (O(records)
-// map churn) and engine/transport construction per call would dominate
-// the search, so the evaluator turns the replay from a one-shot
-// reporter into a search-grade objective function.
+// streams, the sim engine with its rank walkers, the transport's HCA and
+// link state and the per-send delivery events — is built once, and each
+// Evaluate call replays the trace under a new rank→node mapping on the
+// pooled state. The placement optimizer calls the replay tens of
+// thousands of times; paying validation (O(records) map churn) and
+// engine/transport construction per call would dominate the search, so
+// the evaluator turns the replay from a one-shot reporter into a
+// search-grade objective function.
 //
 // The record streams are compiled to a compact op array per rank:
 // one cache line holds three ops instead of one-and-a-half records, the
 // kind dispatch is a byte instead of a string compare, compute
 // durations carry the configured scaling pre-applied, and compute ops
-// are dropped entirely under SkipCompute. The rank procs are daemon
-// procs that park between evaluations, so an evaluation spawns no
-// goroutines and allocates nothing but the result itself.
+// are dropped entirely under SkipCompute. Each rank's stream is walked
+// by an event-driven state machine (walker), not a sim proc, so an
+// evaluation spawns no goroutine and switches no coroutine; it allocates
+// only the result and a route handle per communicating rank pair.
 //
 // Evaluate(places) is pinned byte-identical to a fresh Replay call with
 // the same config and placement (TestEvaluatorMatchesFreshReplay): the
@@ -37,37 +37,20 @@ import (
 // wiring facts. An Evaluator is single-goroutine; run one per worker
 // for parallel search.
 type Evaluator struct {
-	tr    *Trace
-	cfg   ReplayConfig
-	scale float64
+	tr  *Trace
+	cfg ReplayConfig
 
 	eng     *sim.Engine
 	net     *transport.Net
-	inbox   []*sim.Mailbox[replayMsg]
-	procs   []*sim.Proc // daemon walkers, one per rank
-	deliver []func()    // per-send delivery events, canonical send order
+	walkers []walker // one per rank
+	deliver []func() // per-send delivery events, canonical send order
 	nSends  int
 
-	// pend carries each rank's in-flight fused compute+send: the op the
-	// chain event issues and the transfer handle the woken walker
-	// finishes.
-	pendOp []*replayOp
-	pendX  []*transport.Pending
-	// chainFn is each rank's prebuilt compute-end event for fused
-	// pairs: it issues the pending send from event context.
-	chainFn []func()
-	// match holds each rank's current recv-matching criteria, and
-	// matchFn the per-rank predicate reading them: one closure per rank
-	// for the evaluator's lifetime instead of one escaping closure per
-	// recv per evaluation (the single largest allocation source of the
-	// unpooled replay).
-	match   []replayMsg
-	matchFn []func(replayMsg) bool
 	// pairs caches the transport PairPath per directed rank pair
 	// (src*ranks+dst), cleared at each Evaluate (the placement decides
 	// the node pair behind a rank pair). It drops even the transport's
 	// pair-cache map lookup from the per-message cost; nil for traces
-	// too wide for a dense table, where sends fall back to Transfer.
+	// too wide for a dense table, where sends resolve the pair per call.
 	pairs []*transport.PairPath
 
 	// Per-evaluation state the walkers read.
@@ -78,7 +61,7 @@ type Evaluator struct {
 	ranksDone int
 	err       error
 
-	used     bool // at least one Evaluate ran: reset and wake next time
+	used     bool // at least one Evaluate ran: reset and relaunch next time
 	closed   bool
 	borrowed bool // engine supplied by the caller: Close leaves it alone
 }
@@ -89,14 +72,9 @@ const (
 	opSend
 	opRecv
 	// opComputeSend is a compute record whose next record is its rank's
-	// send: the walker parks once for the pair, chaining the compute
-	// interval's end event straight into the send's transfer chain
-	// (StartTransfer is event-context-safe). The calendar is identical
-	// to the unfused execution — the compute's resume slot becomes the
-	// chain step, which performs exactly the sends' issue-time work —
-	// at one proc park/resume instead of two. Falls back to the unfused
-	// shape at run time for intra-node and zero-size sends, whose
-	// single-interval paths end on the proc itself.
+	// send: the compute's end event starts the send's transfer chain,
+	// so the walker steps once for the pair, on an unchanged calendar.
+	// Intra-node and zero-size sends have no chain and run unfused.
 	opComputeSend
 )
 
@@ -112,6 +90,37 @@ type replayOp struct {
 	dur  units.Time // compute duration, scaling pre-applied
 }
 
+// walker replays one rank's op stream as an event-driven state machine:
+// pc indexes the op being executed, and at names what the next step
+// must finish before the walk goes on.
+// run walks until an op takes simulated time, leaving one way back in:
+// a scheduled step, a transfer chain that ends by scheduling it, or —
+// blocked in a recv — the next delivery to the rank, which schedules it
+// at delay 0. Each step takes the calendar slot of a blocking proc's
+// resume on the same stream: the sleep's, the chain's or the mailbox's.
+type walker struct {
+	e      *Evaluator
+	rank   int
+	stream []replayOp
+	pc     int
+	at     uint8 // resume point: atRun, atTransfer or atShort
+	// armed: a step is scheduled, or a chain will schedule one.
+	armed, waiting bool // waiting: blocked in a recv
+
+	x     *transport.Pending // the send's in-flight chain (atTransfer)
+	after units.Time         // the short send's delivery delay (atShort)
+	queue []replayMsg        // delivered, not yet received; arrival order
+
+	stepFn, issueFn func() // bound once: the step event, the fused chain start
+}
+
+// Walker resume points.
+const (
+	atRun      = iota // continue at pc
+	atTransfer        // the chained send at pc completed: run its tail
+	atShort           // the short send at pc completed: schedule its delivery
+)
+
 // NewEvaluator validates the trace once and builds the pooled replay
 // state for it. The config's Places field is ignored — the placement is
 // the argument of each Evaluate call; everything else (fabric, profile,
@@ -121,15 +130,11 @@ func NewEvaluator(t *Trace, cfg ReplayConfig) (*Evaluator, error) {
 	return newEvaluator(nil, t, cfg)
 }
 
-// newEvaluatorOn builds an evaluator whose procs and events live on the
-// supplied engine — a sim.Cluster domain, for batch replays that want
-// the cluster's per-domain counters. The caller owns the engine's
-// lifecycle (Close leaves it alone) and drives it between the
+// newEvaluator builds an evaluator on a fresh engine, or with a non-nil
+// eng on that engine — a sim.Cluster domain, for batch replays that
+// want the cluster's per-domain counters. The caller then owns the
+// engine's lifecycle (Close leaves it alone) and drives it between the
 // evaluator's start and finish halves.
-func newEvaluatorOn(eng *sim.Engine, t *Trace, cfg ReplayConfig) (*Evaluator, error) {
-	return newEvaluator(eng, t, cfg)
-}
-
 func newEvaluator(eng *sim.Engine, t *Trace, cfg ReplayConfig) (*Evaluator, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -142,7 +147,7 @@ func newEvaluator(eng *sim.Engine, t *Trace, cfg ReplayConfig) (*Evaluator, erro
 		return nil, err
 	}
 	ranks := t.Meta.Ranks
-	e := &Evaluator{tr: t, cfg: cfg, scale: scale}
+	e := &Evaluator{tr: t, cfg: cfg}
 
 	// Compile the per-rank streams: canonical order, send slots dense in
 	// record order, compute ops pre-scaled (or dropped under
@@ -188,11 +193,11 @@ func newEvaluator(eng *sim.Engine, t *Trace, cfg ReplayConfig) (*Evaluator, erro
 		e.eng = sim.NewEngine()
 	}
 	e.net = transport.New(e.eng, cfg.Fabric, cfg.Profile, cfg.Policy)
-	e.inbox = make([]*sim.Mailbox[replayMsg], ranks)
-	names := make([]string, ranks)
-	for i := range e.inbox {
-		names[i] = "replay-rank" + strconv.Itoa(i)
-		e.inbox[i] = sim.NewMailbox[replayMsg](e.eng, names[i])
+	e.walkers = make([]walker, ranks)
+	for rank := range e.walkers {
+		w := &e.walkers[rank]
+		w.e, w.rank, w.stream = e, rank, streams[rank]
+		w.stepFn, w.issueFn = w.step, w.issue
 	}
 
 	// One delivery event per send record, allocated once: the closure
@@ -207,136 +212,183 @@ func newEvaluator(eng *sim.Engine, t *Trace, cfg ReplayConfig) (*Evaluator, erro
 		s := slot
 		slot++
 		msg := replayMsg{src: r.Rank, tag: r.Tag, seq: r.Seq}
-		box := e.inbox[r.Peer]
+		w := &e.walkers[r.Peer]
 		e.deliver[s] = func() {
 			if e.sends != nil {
 				e.sends[s].Delivered = e.eng.Now()
 			}
-			box.Put(msg)
+			w.arrive(msg)
 		}
 	}
 
 	// A dense rank-pair path table is only worth holding for realistic
-	// rank counts; beyond the bound the walkers use the transport's own
-	// pair-cache map.
+	// rank counts; beyond the bound each send resolves its pair.
 	if ranks*ranks <= 1<<22 {
 		e.pairs = make([]*transport.PairPath, ranks*ranks)
 	}
-
-	// One daemon walker proc per rank, spawned once: it walks the
-	// rank's compiled stream, then parks until the next evaluation
-	// wakes it. The spawn schedules each walker's first wake, so the
-	// first Evaluate runs them exactly as one-shot Replay spawns ran.
-	e.match = make([]replayMsg, ranks)
-	e.matchFn = make([]func(replayMsg) bool, ranks)
-	e.pendOp = make([]*replayOp, ranks)
-	e.pendX = make([]*transport.Pending, ranks)
-	e.chainFn = make([]func(), ranks)
-	e.procs = make([]*sim.Proc, ranks)
-	for rank := 0; rank < ranks; rank++ {
-		rank := rank
-		stream := streams[rank]
-		e.matchFn[rank] = func(m replayMsg) bool {
-			return m.src == e.match[rank].src && m.tag == e.match[rank].tag
-		}
-		// issueSend performs a send's issue-time work: the observer
-		// stamp, the pair-path lookup and the chained-transfer start.
-		// Called from the walker at the send op, or — for a fused
-		// compute+send — from the compute's end event.
-		issueSend := func(o *replayOp) *transport.Pending {
-			if e.sends != nil {
-				mt := &e.sends[o.aux]
-				mt.SrcRank, mt.DstRank = rank, int(o.peer)
-				mt.Tag, mt.Size = int(o.tag), o.size
-				mt.SendStart = e.eng.Now()
-			}
-			src, dst := e.places[rank], e.places[o.peer]
-			var pp *transport.PairPath
-			if e.pairs == nil {
-				pp = e.net.PairPath(src.Node, dst.Node)
-			} else {
-				pi := rank*len(e.places) + int(o.peer)
-				pp = e.pairs[pi]
-				if pp == nil {
-					pp = e.net.PairPath(src.Node, dst.Node)
-					e.pairs[pi] = pp
-				}
-			}
-			return e.net.StartTransfer(e.procs[rank], pp, src, dst, o.size, e.deliver[o.aux])
-		}
-		e.chainFn[rank] = func() {
-			e.pendX[rank] = issueSend(e.pendOp[rank])
-		}
-		box := e.inbox[rank]
-		e.procs[rank] = e.eng.SpawnDaemon(names[rank], func(p *sim.Proc) {
-			net, deliver, matchFn := e.net, e.deliver, e.matchFn[rank]
-			for {
-				// Per-evaluation state, hoisted out of the record loop.
-				places, sends := e.places, e.sends
-				for i := 0; i < len(stream); i++ {
-					o := &stream[i]
-					switch o.op {
-					case opCompute:
-						p.Sleep(o.dur)
-					case opComputeSend:
-						nxt := &stream[i+1]
-						if nxt.size <= 0 || places[rank].Node == places[nxt.peer].Node {
-							// Single-interval send paths end on the proc
-							// itself: keep the unfused shape.
-							p.Sleep(o.dur)
-							continue
-						}
-						i++
-						// Park once: the compute interval's end event
-						// issues the send, the stream's completion wakes
-						// us for the tail.
-						e.pendOp[rank] = nxt
-						e.eng.Schedule(o.dur, e.chainFn[rank])
-						p.Park("compute+send")
-						net.FinishTransfer(e.pendX[rank])
-						if sends != nil {
-							sends[nxt.aux].SendEnd = p.Now()
-						}
-					case opSend:
-						src, dst := places[rank], places[o.peer]
-						if src.Node == dst.Node || o.size <= 0 {
-							if sends != nil {
-								mt := &sends[o.aux]
-								mt.SrcRank, mt.DstRank = rank, int(o.peer)
-								mt.Tag, mt.Size = int(o.tag), o.size
-								mt.SendStart = p.Now()
-							}
-							net.Transfer(p, src, dst, o.size, deliver[o.aux])
-							if sends != nil {
-								sends[o.aux].SendEnd = p.Now()
-							}
-							continue
-						}
-						x := issueSend(o)
-						p.Park("transfer")
-						net.FinishTransfer(x)
-						if sends != nil {
-							sends[o.aux].SendEnd = p.Now()
-						}
-					case opRecv:
-						e.match[rank] = replayMsg{src: int(o.peer), tag: int(o.tag)}
-						m := box.GetMatch(p, matchFn)
-						if m.seq != int(o.aux) {
-							// Validate guarantees FIFO matching; reaching
-							// here is an engine-level bug, not a trace
-							// error.
-							e.fail(fmt.Errorf("trace: replay: rank %d recv from %d tag %d satisfied by send seq %d, dep says %d",
-								rank, o.peer, o.tag, m.seq, o.aux))
-						}
-					}
-				}
-				e.res.RankFinish[rank] = p.Now()
-				e.ranksDone++
-				p.Park("replay-idle")
-			}
-		})
-	}
+	e.launch() // later evaluations relaunch after the engine reset
 	return e, nil
+}
+
+// launch schedules every walker's first step at delay 0, in rank order.
+func (e *Evaluator) launch() {
+	for i := range e.walkers {
+		w := &e.walkers[i]
+		w.pc, w.at, w.waiting = 0, atRun, false
+		w.queue = w.queue[:0]
+		w.wake(0)
+	}
+}
+
+// arm claims the walker's one pending step; a second is an engine bug.
+func (w *walker) arm() {
+	if w.armed {
+		panic(fmt.Sprintf("trace: replay rank %d: second pending step", w.rank))
+	}
+	w.armed = true
+}
+
+// wake schedules the walker's next step after d.
+func (w *walker) wake(d units.Time) {
+	w.arm()
+	w.e.eng.Schedule(d, w.stepFn)
+}
+
+// arrive queues a delivered payload and, if the walker is blocked in a
+// recv, steps it at once to re-match.
+func (w *walker) arrive(m replayMsg) {
+	w.queue = append(w.queue, m)
+	if w.waiting {
+		w.waiting = false
+		w.wake(0)
+	}
+}
+
+// step is the walker's calendar event: it finishes what the op at pc
+// was waiting for, then walks on.
+func (w *walker) step() {
+	w.armed = false
+	switch w.at {
+	case atTransfer:
+		w.e.net.FinishTransfer(w.x)
+		w.x = nil
+		w.sent()
+	case atShort:
+		w.e.eng.Schedule(w.after, w.e.deliver[w.stream[w.pc].aux])
+		w.sent()
+	}
+	w.at = atRun
+	w.run()
+}
+
+// sent stamps the send at pc as returned and moves past it.
+func (w *walker) sent() {
+	if w.e.sends != nil {
+		w.e.sends[w.stream[w.pc].aux].SendEnd = w.e.eng.Now()
+	}
+	w.pc++
+}
+
+// run executes ops from pc until one takes simulated time or the stream
+// ends.
+func (w *walker) run() {
+	e := w.e
+	for w.pc < len(w.stream) {
+		o := &w.stream[w.pc]
+		switch o.op {
+		case opCompute:
+			w.pc++
+			w.wake(o.dur)
+			return
+		case opComputeSend:
+			w.pc++
+			if w.chained(&w.stream[w.pc]) {
+				w.arm()
+				w.at = atTransfer
+				e.eng.Schedule(o.dur, w.issueFn)
+			} else {
+				w.wake(o.dur)
+			}
+			return
+		case opSend:
+			if w.chained(o) {
+				w.arm()
+				w.at = atTransfer
+				w.issue()
+				return
+			}
+			w.stampStart(o)
+			send, after := e.net.ShortTransfer(e.places[w.rank], e.places[o.peer], o.size)
+			w.at, w.after = atShort, after
+			w.wake(send)
+			return
+		case opRecv:
+			if !w.take(o) {
+				w.waiting = true
+				return
+			}
+			w.pc++
+		}
+	}
+	e.res.RankFinish[w.rank] = e.eng.Now()
+	e.ranksDone++
+}
+
+// take removes the first queued payload matching the recv's source and
+// tag, and checks it is the send the trace's dep names.
+func (w *walker) take(o *replayOp) bool {
+	for i, m := range w.queue {
+		if m.src != int(o.peer) || m.tag != int(o.tag) {
+			continue
+		}
+		w.queue = slices.Delete(w.queue, i, i+1)
+		if m.seq != int(o.aux) {
+			// Validate guarantees FIFO matching; reaching here is an
+			// engine-level bug, not a trace error.
+			w.e.fail(fmt.Errorf("trace: replay: rank %d recv from %d tag %d satisfied by send seq %d, dep says %d",
+				w.rank, o.peer, o.tag, m.seq, o.aux))
+		}
+		return true
+	}
+	return false
+}
+
+// issue stamps the send at pc and starts its transfer chain, which
+// ends by scheduling the walker's step.
+func (w *walker) issue() {
+	e := w.e
+	o := &w.stream[w.pc]
+	w.stampStart(o)
+	src, dst := e.places[w.rank], e.places[o.peer]
+	var pp *transport.PairPath
+	if e.pairs == nil {
+		pp = e.net.PairPath(src.Node, dst.Node)
+	} else {
+		pi := w.rank*len(e.places) + int(o.peer)
+		pp = e.pairs[pi]
+		if pp == nil {
+			pp = e.net.PairPath(src.Node, dst.Node)
+			e.pairs[pi] = pp
+		}
+	}
+	w.x = e.net.StartTransfer(pp, src, dst, o.size, e.deliver[o.aux], w.stepFn)
+}
+
+// chained reports whether send o streams as a transfer chain;
+// intra-node and zero-size sends are short.
+func (w *walker) chained(o *replayOp) bool {
+	return o.size > 0 && w.e.places[w.rank].Node != w.e.places[o.peer].Node
+}
+
+// stampStart records send o's identity and issue instant when per-send
+// timing is observed.
+func (w *walker) stampStart(o *replayOp) {
+	if s := w.e.sends; s != nil {
+		mt := &s[o.aux]
+		mt.SrcRank, mt.DstRank = w.rank, int(o.peer)
+		mt.Tag, mt.Size = int(o.tag), o.size
+		mt.SendStart = w.e.eng.Now()
+	}
 }
 
 // fail records the first replay-invariant violation.
@@ -380,11 +432,7 @@ func (e *Evaluator) start(places []transport.Endpoint) error {
 		e.eng.Reset()
 		e.net.Reset()
 		clear(e.pairs) // the placement decides each rank pair's route
-		// Wake the walkers in rank order: the same event sequence the
-		// first evaluation's spawn wakes produced.
-		for _, p := range e.procs {
-			p.Wake()
-		}
+		e.launch()
 	}
 	e.used = true
 	e.places = places
@@ -417,8 +465,8 @@ func (e *Evaluator) finish() (*ReplayResult, error) {
 	}
 	if e.ranksDone != e.tr.Meta.Ranks {
 		// A validated trace always completes; a stalled walker is an
-		// engine-level bug, and the pooled state is unusable (daemons
-		// are exempt from the engine's own deadlock detection).
+		// engine-level bug, and the pooled state is unusable. The engine
+		// has no procs to report deadlocked, so only this count shows it.
 		e.Close()
 		return nil, fmt.Errorf("trace: replay %s: %d of %d ranks completed",
 			e.tr.Meta.Name, e.ranksDone, e.tr.Meta.Ranks)
@@ -443,8 +491,8 @@ func (e *Evaluator) finish() (*ReplayResult, error) {
 	return res, nil
 }
 
-// Close releases the evaluator's engine and its walker procs. The
-// evaluator is unusable afterwards; Close is idempotent.
+// Close releases the evaluator's engine. The evaluator is unusable
+// afterwards; Close is idempotent.
 func (e *Evaluator) Close() {
 	if e.closed {
 		return
@@ -463,11 +511,7 @@ func validatePlaces(t *Trace, fab *fabric.System, places []transport.Endpoint) e
 		return fmt.Errorf("trace: replay: %d placements for %d ranks", len(places), t.Meta.Ranks)
 	}
 	for r, pl := range places {
-		// Bound the CU index directly rather than via GlobalID(), whose
-		// CU*NodesPerCU product overflows int for absurd CU values and
-		// would wrap negative past the fab.Nodes() comparison.
-		if pl.Node.CU < 0 || pl.Node.CU >= fab.Nodes()/params.NodesPerCU ||
-			pl.Node.Node < 0 || pl.Node.Node >= params.NodesPerCU {
+		if !fab.Contains(pl.Node) {
 			return fmt.Errorf("trace: replay: rank %d placed on %v outside the %d-node fabric",
 				r, pl.Node, fab.Nodes())
 		}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"roadrunner/internal/fabric"
@@ -146,5 +147,25 @@ func TestEvaluatorRejectsBadPlacement(t *testing.T) {
 	ev.Close()
 	if _, err := ev.Evaluate(good); err == nil {
 		t.Error("closed evaluator accepted an evaluation")
+	}
+}
+
+// TestEvaluatorRunsNoGoroutines: the rank walkers are calendar events,
+// not coroutine procs, so building an evaluator and running it leaves
+// the goroutine count where it was.
+func TestEvaluatorRunsNoGoroutines(t *testing.T) {
+	fab := fabric.NewScaled(1)
+	tr := meshTrace(t, 16, 32*units.KB)
+	before := runtime.NumGoroutine()
+	ev, err := NewEvaluator(tr, ReplayConfig{Fabric: fab, Profile: ib.OpenMPI(), Policy: transport.Congested()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ev.Close()
+	if _, err := ev.Evaluate(evalPlacements(fab, 16)[1]); err != nil {
+		t.Fatal(err)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Errorf("goroutines %d -> %d across NewEvaluator and Evaluate", before, after)
 	}
 }

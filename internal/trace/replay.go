@@ -124,13 +124,13 @@ type replayMsg struct {
 // retains.
 const replayCensusTop = 10
 
-// Replay executes the trace over the transport: one sim proc per rank
-// walks the rank's stream in order — compute sleeps, sends drive
-// transport.Net.Transfer, recvs block on the matching payload — so
-// cross-rank dependencies resolve exactly as the application's own
-// message ordering would, under whatever placement and congestion policy
-// the config selects. The trace is validated first; a valid trace
-// cannot deadlock the engine.
+// Replay executes the trace over the transport: one event-driven walker
+// per rank steps through the rank's stream in order — compute intervals,
+// sends as transport transfer chains, recvs waiting for the matching
+// payload — so cross-rank dependencies resolve exactly as the
+// application's own message ordering would, under whatever placement and
+// congestion policy the config selects. The trace is validated first; a
+// valid trace cannot stall the replay.
 //
 // Replay is the one-shot path: it builds an Evaluator, runs the
 // config's placement once and tears the evaluator down. Callers

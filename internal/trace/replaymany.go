@@ -29,7 +29,7 @@ func ReplayMany(t *Trace, cfg ReplayConfig, placements [][]transport.Endpoint,
 	defer cl.Close()
 	evs := make([]*Evaluator, len(placements))
 	for i, places := range placements {
-		ev, err := newEvaluatorOn(cl.Domain(i), t, cfg)
+		ev, err := newEvaluator(cl.Domain(i), t, cfg)
 		if err != nil {
 			return nil, nil, nil, err
 		}

@@ -21,11 +21,12 @@
 //     replay engine;
 //   - the codec (codec.go): JSONL (de)serialization whose output is
 //     byte-canonical, so serialize→parse→serialize is the identity;
-//   - the replay engine (replay.go): drives transport.Net.Transfer
-//     directly from a trace under any rank→node placement and
-//     congestion policy, honoring per-rank ordering and cross-rank
-//     dependencies via sim procs, and reporting per-message timing plus
-//     the link-contention census.
+//   - the replay engine (replay.go, evaluator.go): drives the
+//     transport's chained transfers directly from a trace under any
+//     rank→node placement and congestion policy, honoring per-rank
+//     ordering and cross-rank dependencies with one event-driven walker
+//     per rank, and reporting per-message timing plus the
+//     link-contention census.
 //
 // Capture hooks live with the applications (sweep3d.CaptureDES records
 // the Sweep3D wavefront schedule); the scenario layer sweeps a captured

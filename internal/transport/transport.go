@@ -288,17 +288,36 @@ func (n *Net) xpath(src, dst fabric.NodeID) *xbarPath {
 // and the payload stream through both endpoints' HCAs — then schedules
 // deliver after the fabric traversal and the receive-side overhead.
 // Intra-node transfers take the shared-memory path: software overhead on
-// each side, nothing on the fabric.
+// each side, nothing on the fabric. A payload-carrying transfer parks
+// the proc once while its StartTransfer chain runs, whose events fall at
+// exactly the instants a sleep per interval would (a queued admission
+// re-checks on the wakes a parked proc would get), so the calendar is
+// bit-identical to the multi-sleep shape.
 func (n *Net) Transfer(p *sim.Proc, src, dst Endpoint, size units.Size, deliver func()) {
-	if src.Node == dst.Node {
-		n.msgs++
-		pr := n.prof
-		p.Sleep(pr.PerSideOverhead)
-		n.eng.Schedule(pr.PerSideOverhead, deliver)
+	if src.Node == dst.Node || size <= 0 {
+		send, after := n.ShortTransfer(src, dst, size)
+		p.Sleep(send)
+		n.eng.Schedule(after, deliver)
 		return
 	}
-	n.transferVia(p, n.xpath(src.Node, dst.Node), n.HCA(src.Node), n.HCA(dst.Node),
-		src, dst, size, deliver)
+	x := n.startTransfer(n.xpath(src.Node, dst.Node), n.HCA(src.Node), n.HCA(dst.Node),
+		src, dst, size, deliver, p.Resumer())
+	p.Park("transfer")
+	n.FinishTransfer(x)
+}
+
+// ShortTransfer accounts a message that never streams through the
+// adapters — intra-node, or zero-size — and returns its intervals: the
+// sender-visible overhead, then the delay from the sender's completion
+// to delivery, which the caller schedules when send has elapsed.
+func (n *Net) ShortTransfer(src, dst Endpoint, size units.Size) (send, after units.Time) {
+	n.msgs++
+	ovh := n.prof.PerSideOverhead
+	if src.Node == dst.Node {
+		return ovh, ovh
+	}
+	n.wire += size
+	return ovh, n.xpath(src.Node, dst.Node).fabLat + ovh
 }
 
 // PairPath resolves the routing work for a directed inter-node pair, for
@@ -341,58 +360,21 @@ func (pp *PairPath) AdmissionLinks(buf []fabric.Link) []fabric.Link {
 	return buf
 }
 
-// TransferVia is Transfer for an inter-node pair whose PairPath the
-// caller already holds; pp must be PairPath(src.Node, dst.Node).
-//
-// Payload-carrying transfers run as an event chain: the proc parks once
-// and the software-overhead interval, the rendezvous round trip, link
-// admission and every HCA chunk but the last are driven by scheduled
-// events, with the final chunk's completion waking the proc to run the
-// release-and-deliver tail. The chain performs exactly the Schedule
-// calls the blocking form performed, at exactly the same instants (a
-// queued admission re-checks on the same wake events a parked proc
-// would), so the calendar — and therefore every simulated result — is
-// bit-identical to the multi-sleep shape while costing one proc
-// park/resume instead of one per interval.
-func (n *Net) TransferVia(p *sim.Proc, pp *PairPath, src, dst Endpoint, size units.Size, deliver func()) {
-	n.transferVia(p, pp.xp, pp.src, pp.dst, src, dst, size, deliver)
+// StartTransfer begins a payload-carrying transfer as an event chain and
+// returns its handle: software overhead, rendezvous, link admission and
+// every HCA chunk are scheduled events, and the last chunk's interval
+// ends by scheduling then, the caller's continuation, which must run
+// FinishTransfer. Safe from event context; size must be positive.
+func (n *Net) StartTransfer(pp *PairPath, src, dst Endpoint, size units.Size, deliver, then func()) *Pending {
+	return n.startTransfer(pp.xp, pp.src, pp.dst, src, dst, size, deliver, then)
 }
 
-// transferVia is TransferVia on the resolved route entry and endpoint
-// adapters — the shape the internal hot path uses so Transfer never
-// materializes a PairPath handle.
-func (n *Net) transferVia(p *sim.Proc, xp *xbarPath, hsrc, hdst *ib.HCA, src, dst Endpoint, size units.Size, deliver func()) {
-	if size <= 0 {
-		n.msgs++
-		n.wire += size
-		pr := n.prof
-		p.Sleep(pr.PerSideOverhead)
-		n.eng.Schedule(xp.fabLat+pr.PerSideOverhead, deliver)
-		return
-	}
-	x := n.startTransfer(p, xp, hsrc, hdst, src, dst, size, deliver)
-	p.Park("transfer")
-	// The final chunk's completion woke us.
-	n.FinishTransfer(x)
-}
-
-// StartTransfer begins a payload-carrying chained transfer on behalf of
-// proc p and returns its in-flight handle. It is safe to call from
-// event context — replay walkers chain a compute interval directly
-// into the send it precedes, parking their proc once for both. The
-// caller must park p (with no wake pending); the chain wakes it when
-// the stream completes, after which the caller runs FinishTransfer.
-// size must be positive.
-func (n *Net) StartTransfer(p *sim.Proc, pp *PairPath, src, dst Endpoint, size units.Size, deliver func()) *Pending {
-	return n.startTransfer(p, pp.xp, pp.src, pp.dst, src, dst, size, deliver)
-}
-
-func (n *Net) startTransfer(p *sim.Proc, xp *xbarPath, hsrc, hdst *ib.HCA, src, dst Endpoint, size units.Size, deliver func()) *Pending {
+func (n *Net) startTransfer(xp *xbarPath, hsrc, hdst *ib.HCA, src, dst Endpoint, size units.Size, deliver, then func()) *Pending {
 	n.msgs++
 	pr := n.prof
 	n.wire += size
 	x := n.getXfer()
-	x.p = p
+	x.then = then
 	x.xp = xp
 	x.hsrc = hsrc
 	x.hdst = hdst
@@ -416,7 +398,7 @@ func (n *Net) startTransfer(p *sim.Proc, xp *xbarPath, hsrc, hdst *ib.HCA, src, 
 // FinishTransfer runs a completed transfer's tail — deregister the HCA
 // flow, release the route's links, schedule the delivery — exactly as
 // the blocking form runs it after its last sleep. Call it from the
-// woken proc, then the handle is recycled.
+// continuation; the handle is recycled.
 func (n *Net) FinishTransfer(x *Pending) {
 	ib.EndBetween(x.hsrc, x.hdst)
 	release(x.xp.states)
@@ -435,7 +417,7 @@ const (
 // the net's free list, so a steady-state transfer allocates nothing.
 type Pending struct {
 	n          *Net
-	p          *sim.Proc
+	then       func() // continuation the last interval schedules
 	xp         *xbarPath
 	hsrc, hdst *ib.HCA
 	deliver    func()
@@ -489,15 +471,15 @@ func (x *Pending) admit() {
 }
 
 // stream schedules the next HCA chunk interval at the rate both
-// adapters sustain this instant; the last interval hands control back
-// to the parked proc for the release-and-deliver tail.
+// adapters sustain this instant; the last interval schedules the
+// continuation for the release-and-deliver tail.
 func (x *Pending) stream() {
 	chunk, t := ib.StepBetween(x.hsrc, x.hdst, x.remaining, x.pairBW)
 	x.remaining -= chunk
 	if x.remaining > 0 {
 		x.n.eng.Schedule(t, x.stepFn)
 	} else {
-		x.p.WakeAfter(t)
+		x.n.eng.Schedule(t, x.then)
 	}
 }
 
@@ -524,7 +506,7 @@ func (n *Net) getXfer() *Pending {
 
 // putXfer returns a finished transfer to the pool.
 func (n *Net) putXfer(x *Pending) {
-	x.p = nil
+	x.then = nil
 	x.xp = nil
 	x.hsrc = nil
 	x.hdst = nil

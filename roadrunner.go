@@ -298,9 +298,9 @@ const (
 
 // TraceEvaluator is the batch replay evaluation path: the trace is
 // validated once and the sim engine, transport state, route caches and
-// rank procs are pooled, so evaluating one more placement costs only
-// the replay's events — ~5x faster than a one-shot ReplayTrace per
-// evaluation at makespan-only observation, with ~7,500x fewer
+// rank walkers are pooled, so evaluating one more placement costs only
+// the replay's events — ~4x faster than a one-shot ReplayTrace per
+// evaluation at makespan-only observation, with ~50x fewer
 // allocations. Close it when done.
 type TraceEvaluator = trace.Evaluator
 
