@@ -40,11 +40,10 @@ bench-full:
 # (routing, link admission, queueing); the TraceReplay benches the
 # one-shot replay; the EvaluatorReplay benches the pooled batch
 # evaluation path side by side with it (the ~5x/7,500x pooling win);
-# PlacementOptimize the optimizer end to end; ParallelDES the windowed
-# cluster at 1/2/4/8 workers against the serial engine; the Surrogate
+# PlacementOptimize the optimizer end to end; the Surrogate
 # benches the analytic pricing model the two-tier search screens with
 # (price one mapping, cold-route pricing, and model compilation).
-BENCH_RE = Collective|Saturation|TraceReplay|EvaluatorReplay|PlacementOptimize|EventLoop|ProcParkUnpark|MailboxPingPong|Facility|ParallelDES|TopoCompare|TopologyRoute|Surrogate
+BENCH_RE = Collective|Saturation|TraceReplay|EvaluatorReplay|PlacementOptimize|EventLoop|ProcParkUnpark|MailboxPingPong|Facility|TopoCompare|TopologyRoute|Surrogate
 BENCH_PKGS = ./internal/collectives ./internal/scenario ./internal/trace ./internal/placement ./internal/surrogate ./internal/sim ./internal/facility ./internal/fabric
 
 bench-artifact:
@@ -80,10 +79,11 @@ bench-compare:
 	@join -v1 /tmp/bench-base.txt /tmp/bench-head.txt | awk '{print "baseline only: " $$1}'
 	@join -v2 /tmp/bench-base.txt /tmp/bench-head.txt | awk '{print "head only:     " $$1}'
 
-# The parallel-DES byte-identity smoke CI runs (mirrored here): the
+# The worker-count byte-identity smoke CI runs (mirrored here): the
 # coll-saturation and trace-replay experiments at GOMAXPROCS 1, 2 and
-# 8, with the result JSONL and every CSV artifact diffed byte-for-byte
-# across worker counts (only the wall-clock elapsed_ms field is
+# 8, whose independent runs spread over that many workers, with the
+# result JSONL and every CSV artifact diffed byte-for-byte across
+# worker counts (only the wall-clock elapsed_ms field is
 # stripped first — it is observability output, never simulation input).
 pdes-smoke:
 	@for p in 1 2 8; do \

@@ -54,7 +54,7 @@ func run() int {
 	csvDir := flag.String("csv", "", "directory to write CSV artifacts into")
 	quiet := flag.Bool("quiet", false, "print only the per-experiment summaries")
 	pdes := flag.String("pdes", "auto",
-		"parallel DES inside experiments: off (serial engine), auto (GOMAXPROCS workers) or a worker count; results are identical at any setting")
+		"workers for independent runs inside experiments: off (one), auto (GOMAXPROCS) or a worker count; results are identical at any setting")
 	topology := flag.String("topology", "",
 		"fabric topology the scenario sweeps run on (see rrsim -topology); non-default runs are what-if sweeps, so paper-vs-measured checks may fail by design")
 	flag.Parse()

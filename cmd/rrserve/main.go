@@ -52,7 +52,7 @@ func run() int {
 	poolTraces := flag.Int("pool-traces", 0, "warm evaluator pools to retain (0 = 8)")
 	cacheDir := flag.String("cache-dir", defaultCacheDir(), "artifact cache location ('' disables the persistent cache)")
 	pdes := flag.String("pdes", "auto",
-		"parallel DES inside scenario jobs: off (serial engine), auto (GOMAXPROCS workers) or a worker count; results are identical at any setting")
+		"workers for independent runs inside scenario jobs: off (one), auto (GOMAXPROCS) or a worker count; results are identical at any setting")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "rrserve: unexpected arguments %v\n", flag.Args())

@@ -4,12 +4,13 @@
 //
 // Usage:
 //
-//	rrsim -hops 0 2000          # crossbar hops and latency between nodes
+//	rrsim 0 2000                # crossbar hops and latency between nodes
 //	rrsim -census               # Table I census from node 0
 //	rrsim -audit                # fabric structural audit
 //	rrsim -chip                 # SPU pipeline microbenchmarks
 //	rrsim -memory               # Table III memory characterisation
 //	rrsim -des                  # Sweep3D on the DES machine + engine stats
+//	                            # (more than one -pdes worker: + placement replays)
 //	rrsim -collective allreduce-ring -ranks 64 -msg 1048576
 //	                            # one collective on the DES + engine stats
 //	rrsim -collective list      # the implemented algorithms
@@ -44,48 +45,61 @@ import (
 )
 
 func main() {
-	census := flag.Bool("census", false, "print the Table I hop census")
-	audit := flag.Bool("audit", false, "print the fabric structural audit")
-	chip := flag.Bool("chip", false, "print SPU pipeline microbenchmarks")
-	memory := flag.Bool("memory", false, "print the Table III memory characterisation")
-	des := flag.Bool("des", false, "run Sweep3D on the discrete-event machine and print engine stats")
-	ranks := flag.Int("ranks", 32, "ranks for -des (placed px x py) and -collective (one per node)")
-	coll := flag.String("collective", "", "run one collective algorithm by name, or 'list'")
-	msg := flag.Int64("msg", 8, "per-rank payload bytes for -collective")
-	congestion := flag.String("congestion", "on",
+	os.Exit(run(os.Args[1:]))
+}
+
+// run executes one rrsim invocation and returns its exit status: 0
+// success, 2 on a usage or run error.
+func run(args []string) int {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	census := fs.Bool("census", false, "print the Table I hop census")
+	audit := fs.Bool("audit", false, "print the fabric structural audit")
+	chip := fs.Bool("chip", false, "print SPU pipeline microbenchmarks")
+	memory := fs.Bool("memory", false, "print the Table III memory characterisation")
+	des := fs.Bool("des", false, "run Sweep3D on the discrete-event machine and print engine stats")
+	ranks := fs.Int("ranks", 32, "ranks for -des (placed px x py) and -collective (one per node)")
+	coll := fs.String("collective", "", "run one collective algorithm by name, or 'list'")
+	msg := fs.Int64("msg", 8, "per-rank payload bytes for -collective")
+	congestion := fs.String("congestion", "on",
 		"link congestion for -collective: on routes messages over the cable topology with finite-capacity channels; off reproduces the infinite-capacity fabric")
-	toplinks := flag.Int("toplinks", 5, "contended links to print after a congested -collective run (the census keeps the 10 hottest)")
-	pdes := flag.String("pdes", "auto",
-		"parallel DES for batch runs: off (serial engine), auto (GOMAXPROCS workers) or a worker count; results are identical at any setting")
-	topology := flag.String("topology", "",
+	toplinks := fs.Int("toplinks", 5, "contended links to print after a congested -collective run (the census keeps the 10 hottest)")
+	pdes := fs.String("pdes", "auto",
+		"workers for independent runs (the -des placement replays): off (one), auto (GOMAXPROCS) or a worker count; results are identical at any setting")
+	topology := fs.String("topology", "",
 		"fabric topology for -hops/-census/-audit/-collective (see fabric.Topologies; default: the paper's tapered fat-tree)")
-	flag.Parse()
+	fs.Parse(args)
 	if err := scenario.ApplyPDESFlag(*pdes); err != nil {
 		fmt.Fprintf(os.Stderr, "rrsim: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
 	if err := scenario.ApplyTopologyFlag(*topology); err != nil {
 		fmt.Fprintf(os.Stderr, "rrsim: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
 
 	fab, err := fabric.NewTopology(scenario.TopologyName())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rrsim: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
-	args := flag.Args()
+	args = fs.Args()
 	if len(args) == 2 {
 		var a, b int
 		if _, err := fmt.Sscanf(args[0]+" "+args[1], "%d %d", &a, &b); err != nil {
 			fmt.Fprintln(os.Stderr, "usage: rrsim <nodeA> <nodeB>")
-			os.Exit(2)
+			return 2
 		}
 		na, nb := fabric.FromGlobal(a), fabric.FromGlobal(b)
+		for _, n := range []fabric.NodeID{na, nb} {
+			if !fab.Contains(n) {
+				fmt.Fprintf(os.Stderr, "rrsim: node %v outside the %d-node fabric\n", n, fab.Nodes())
+				return 2
+			}
+		}
 		fmt.Printf("%v -> %v (%s): %d crossbar hops, %v switch latency, %v MPI zero-byte\n",
 			na, nb, fab.PairClass(na, nb), fab.HopsGlobal(a, b), fab.HopLatency(na, nb),
 			microbench.Fig10Latency(fab, nb))
-		return
+		return 0
 	}
 
 	if *census {
@@ -133,7 +147,7 @@ func main() {
 		res, err := sweep3d.RunOnDES(cfg, px, py, cml.CurrentSoftware())
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return 2
 		}
 		wall := time.Since(start)
 		st := res.EngineStats
@@ -143,9 +157,9 @@ func main() {
 			st.Dispatched, st.CalendarPeak,
 			float64(st.Dispatched)/wall.Seconds())
 		if workers := scenario.ParallelWorkers(); workers > 1 {
-			if err := desParallelStats(px, py, workers); err != nil {
+			if err := placementReplays(px, py, workers); err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
+				return 2
 			}
 		}
 	}
@@ -154,7 +168,7 @@ func main() {
 			for _, op := range roadrunner.CollectiveOps() {
 				fmt.Println(op)
 			}
-			return
+			return 0
 		}
 		congested := true
 		switch *congestion {
@@ -163,17 +177,17 @@ func main() {
 			congested = false
 		default:
 			fmt.Fprintf(os.Stderr, "bad -congestion %q: want on or off\n", *congestion)
-			os.Exit(2)
+			return 2
 		}
-		run := roadrunner.RunCollectiveCongestedOn
+		runColl := roadrunner.RunCollectiveCongestedOn
 		if !congested {
-			run = roadrunner.RunCollectiveOn
+			runColl = roadrunner.RunCollectiveOn
 		}
 		start := time.Now()
-		res, err := run(scenario.TopologyName(), roadrunner.CollectiveOp(*coll), *ranks, units.Size(*msg))
+		res, err := runColl(scenario.TopologyName(), roadrunner.CollectiveOp(*coll), *ranks, units.Size(*msg))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return 2
 		}
 		wall := time.Since(start)
 		bw := ""
@@ -202,19 +216,17 @@ func main() {
 			st.Dispatched, st.CalendarPeak, float64(st.Dispatched)/wall.Seconds())
 	}
 	if !*census && !*audit && !*chip && !*memory && !*des && *coll == "" && len(args) == 0 {
-		flag.Usage()
+		fs.Usage()
 	}
+	return 0
 }
 
-// desParallelStats reruns the -des Sweep3D model through the parallel
-// DES path: the run's wavefront schedule is captured as a trace and
-// replayed under the three standard placements on the congested fabric,
-// one sim.Cluster domain per placement, spread over the -pdes workers.
-// The per-domain counters (events executed, windows, cross-domain
-// messages) and per-worker busy/idle make the partition's lookahead
-// quality observable; the replay results themselves are byte-identical
-// to serial replays of the same placements.
-func desParallelStats(px, py, workers int) error {
+// placementReplays reruns the -des Sweep3D model as independent
+// placement replays: the run's wavefront schedule is captured as a
+// trace and replayed under the three standard placements on the
+// congested fabric, spread over the -pdes workers. The results are
+// byte-identical to serial replays of the same placements.
+func placementReplays(px, py, workers int) error {
 	cfg := sweep3d.Config{I: 5, J: 5, K: 40, MK: 10, Angles: 6}
 	_, tr, err := sweep3d.CaptureDES(cfg, px, py, cml.CurrentSoftware())
 	if err != nil {
@@ -233,25 +245,24 @@ func desParallelStats(px, py, workers int) error {
 		placements[i] = p
 	}
 	start := time.Now()
-	results, dstats, wstats, err := trace.ReplayMany(tr, trace.ReplayConfig{
+	pool, err := trace.NewEvaluatorPool(tr, trace.ReplayConfig{
 		Fabric:  fab,
 		Profile: ib.OpenMPI(),
 		Policy:  transport.Congested(),
-	}, placements, workers)
+	}, workers)
 	if err != nil {
 		return err
 	}
-	wall := time.Since(start)
-	fmt.Printf("parallel DES: %d domains (one per placement replay) on %d workers, %v wall clock\n",
-		len(results), len(wstats), wall.Round(time.Millisecond))
-	for i, st := range dstats {
-		fmt.Printf("  domain %d %-8s %9d events, %d windows, %d cross-domain msgs, makespan %v\n",
-			i, scenario.TraceReplayPlacementNames[i], st.Events, st.Windows,
-			st.Sent+st.Received, results[i].Time)
+	defer pool.Close()
+	results, err := pool.EvaluateMany(placements, workers)
+	if err != nil {
+		return err
 	}
-	for w, st := range wstats {
-		fmt.Printf("  worker %d: busy %v, idle %v\n",
-			w, st.Busy.Round(time.Microsecond), st.Idle.Round(time.Microsecond))
+	fmt.Printf("placement replays: %d on %d workers, %v wall clock\n",
+		len(results), min(workers, len(results)), time.Since(start).Round(time.Millisecond))
+	for i, r := range results {
+		fmt.Printf("  %-8s %9d events, makespan %v\n",
+			scenario.TraceReplayPlacementNames[i], r.EngineStats.Dispatched, r.Time)
 	}
 	return nil
 }

@@ -1,0 +1,61 @@
+package main
+
+import (
+	"io"
+	"os"
+	"strings"
+	"testing"
+)
+
+// runCLI runs rrsim in-process and returns its exit status and what it
+// printed on stdout and stderr.
+func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	outR, outW, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	errR, errW, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	outC, errC := make(chan string), make(chan string)
+	go func() { b, _ := io.ReadAll(outR); outC <- string(b) }()
+	go func() { b, _ := io.ReadAll(errR); errC <- string(b) }()
+	saveOut, saveErr := os.Stdout, os.Stderr
+	os.Stdout, os.Stderr = outW, errW
+	code = run(args)
+	os.Stdout, os.Stderr = saveOut, saveErr
+	outW.Close()
+	errW.Close()
+	return code, <-outC, <-errC
+}
+
+// TestHopQueryRejectsNodesOutsideFabric: node ids beyond either end of
+// the machine exit 2 with one line instead of panicking in the fabric.
+func TestHopQueryRejectsNodesOutsideFabric(t *testing.T) {
+	for _, args := range [][]string{{"0", "3060"}, {"0", "-1"}, {"-topology", "torus", "3060", "0"}} {
+		code, stdout, stderr := runCLI(t, args...)
+		if code != 2 || stdout != "" || strings.Count(stderr, "\n") != 1 {
+			t.Errorf("rrsim %s: exit %d, stdout %q, stderr %q; want exit 2 and one stderr line",
+				strings.Join(args, " "), code, stdout, stderr)
+		}
+	}
+	if code, stdout, _ := runCLI(t, "0", "3059"); code != 0 || !strings.Contains(stdout, "crossbar hops") {
+		t.Errorf("rrsim 0 3059: exit %d, output %q", code, stdout)
+	}
+}
+
+// TestDESPlacementReplays drives -des with more than one worker, which
+// adds the independent placement replays of the captured schedule.
+func TestDESPlacementReplays(t *testing.T) {
+	code, stdout, stderr := runCLI(t, "-des", "-ranks", "16", "-pdes", "2")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	for _, want := range []string{"placement replays: 3 on 2 workers", "  block ", "  strided ", "  packed "} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("output lacks %q:\n%s", want, stdout)
+		}
+	}
+}

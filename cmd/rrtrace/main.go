@@ -55,28 +55,30 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
-	if len(os.Args) < 2 {
+// run executes one rrtrace invocation (args without the program name)
+// and returns its exit status.
+func run(args []string) int {
+	if len(args) < 1 {
 		usage()
 		return 2
 	}
-	switch os.Args[1] {
+	switch args[0] {
 	case "capture":
-		return capture(os.Args[2:])
+		return capture(args[1:])
 	case "inspect":
-		return inspect(os.Args[2:])
+		return inspect(args[1:])
 	case "replay":
-		return replay(os.Args[2:])
+		return replay(args[1:])
 	case "optimize":
-		return optimize(os.Args[2:])
+		return optimize(args[1:])
 	case "-h", "-help", "--help", "help":
 		usage()
 		return 0
 	}
-	fmt.Fprintf(os.Stderr, "rrtrace: unknown subcommand %q\n\n", os.Args[1])
+	fmt.Fprintf(os.Stderr, "rrtrace: unknown subcommand %q\n\n", args[0])
 	usage()
 	return 2
 }
@@ -201,6 +203,10 @@ func optimize(args []string) int {
 		fmt.Fprintln(os.Stderr, "rrtrace optimize: -i is required")
 		return 2
 	}
+	pol, ok := checkFlags("optimize", *congestion, *stride, *perNode, *toplinks)
+	if !ok {
+		return 2
+	}
 	tr, err := trace.Load(*in)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -211,20 +217,14 @@ func optimize(args []string) int {
 		fmt.Fprintf(os.Stderr, "rrtrace optimize: %v\n", err)
 		return 2
 	}
-	var pol transport.Policy
-	switch *congestion {
-	case "on":
-		pol = transport.Congested()
-	case "off":
-		pol = transport.InfiniteCapacity()
-	default:
-		fmt.Fprintf(os.Stderr, "rrtrace optimize: -congestion must be on or off, got %q\n", *congestion)
-		return 2
-	}
-	starts := []placement.Start{
-		{Name: "block", Places: toEndpoints(collectives.BlockPlacement(fab, tr.Meta.Ranks, 1))},
-		{Name: "strided", Places: toEndpoints(collectives.StridedPlacement(fab, tr.Meta.Ranks, *stride, 1))},
-		{Name: "packed", Places: toEndpoints(collectives.PackedPlacement(fab, tr.Meta.Ranks, *perNode))},
+	var starts []placement.Start
+	for _, name := range placementNames {
+		places, err := place(name, fab, tr.Meta.Ranks, *stride, *perNode, 1)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "rrtrace optimize: %v\n", err)
+			return 1
+		}
+		starts = append(starts, placement.Start{Name: name, Places: places})
 	}
 	cfg := placement.Config{
 		Trace: tr,
@@ -309,6 +309,61 @@ func optimize(args []string) int {
 	return 0
 }
 
+// placementNames are the generated rank→node mappings, in the order
+// -placement all replays them and optimize seeds its search.
+var placementNames = []string{"block", "strided", "packed"}
+
+// checkFlags reads the -congestion flag into its transport policy (off
+// is the infinite-capacity fabric) and rejects the placement and
+// census flag values the generators would panic on, with one line on
+// stderr.
+func checkFlags(cmd, congestion string, stride, perNode, toplinks int) (transport.Policy, bool) {
+	var pol transport.Policy
+	switch congestion {
+	case "on":
+		pol = transport.Congested()
+	case "off":
+		pol = transport.InfiniteCapacity()
+	default:
+		fmt.Fprintf(os.Stderr, "rrtrace %s: -congestion must be on or off, got %q\n", cmd, congestion)
+		return pol, false
+	}
+	switch {
+	case stride < 1:
+		fmt.Fprintf(os.Stderr, "rrtrace %s: -stride %d below 1\n", cmd, stride)
+	case perNode < 1 || perNode > 4:
+		fmt.Fprintf(os.Stderr, "rrtrace %s: -per-node %d outside 1..4\n", cmd, perNode)
+	case toplinks < 0:
+		fmt.Fprintf(os.Stderr, "rrtrace %s: -toplinks %d below 0\n", cmd, toplinks)
+	default:
+		return pol, true
+	}
+	return pol, false
+}
+
+// place builds the named placement of ranks on fab, or an error when
+// the trace needs more nodes than the fabric has.
+func place(name string, fab *fabric.System, ranks, stride, perNode, core int) ([]transport.Endpoint, error) {
+	nodes := ranks
+	if name == "packed" {
+		nodes = (ranks + perNode - 1) / perNode
+	}
+	if nodes > fab.Nodes() {
+		return nil, fmt.Errorf("%s placement of %d ranks needs %d nodes, the fabric has %d",
+			name, ranks, nodes, fab.Nodes())
+	}
+	var places []collectives.Placement
+	switch name {
+	case "block":
+		places = collectives.BlockPlacement(fab, ranks, core)
+	case "strided":
+		places = collectives.StridedPlacement(fab, ranks, stride, core)
+	case "packed":
+		places = collectives.PackedPlacement(fab, ranks, perNode)
+	}
+	return toEndpoints(places), nil
+}
+
 // topoFabric builds the full-scale fabric for a -topology flag value
 // ("" = the default tapered fat-tree, identical to roadrunner.Fabric()).
 func topoFabric(name string) (*fabric.System, error) {
@@ -330,13 +385,13 @@ func toEndpoints(places []collectives.Placement) []transport.Endpoint {
 func replay(args []string) int {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	in := fs.String("i", "", "trace file (required)")
-	placement := fs.String("placement", "block",
-		"rank→node mapping: block, strided, packed — or all, replaying every mapping as parallel DES domains")
+	placementName := fs.String("placement", "block",
+		"rank→node mapping: block, strided, packed — or all, replaying every mapping as independent runs")
 	stride := fs.Int("stride", 180, "node stride for -placement strided")
 	perNode := fs.Int("per-node", 4, "ranks per node for -placement packed")
 	core := fs.Int("core", 1, "issuing Opteron core for block/strided placements")
 	pdes := fs.String("pdes", "auto",
-		"parallel DES for -placement all: off (serial engine), auto (GOMAXPROCS workers) or a worker count; results are identical at any setting")
+		"workers for independent runs (-placement all): off (one), auto (GOMAXPROCS) or a worker count; results are identical at any setting")
 	congestion := fs.String("congestion", "on",
 		"link congestion: on holds wormhole channels on every routed cable; off is the infinite-capacity fabric")
 	skipCompute := fs.Bool("skip-compute", false, "strip compute records: replay the bare communication schedule")
@@ -346,6 +401,23 @@ func replay(args []string) int {
 	fs.Parse(args)
 	if *in == "" {
 		fmt.Fprintln(os.Stderr, "rrtrace replay: -i is required")
+		return 2
+	}
+	pol, ok := checkFlags("replay", *congestion, *stride, *perNode, *toplinks)
+	if !ok {
+		return 2
+	}
+	names := []string{*placementName}
+	switch *placementName {
+	case "block", "strided", "packed":
+	case "all":
+		if err := scenario.ApplyPDESFlag(*pdes); err != nil {
+			fmt.Fprintf(os.Stderr, "rrtrace replay: %v\n", err)
+			return 2
+		}
+		names = placementNames
+	default:
+		fmt.Fprintf(os.Stderr, "rrtrace replay: unknown placement %q\n", *placementName)
 		return 2
 	}
 	tr, err := trace.Load(*in)
@@ -358,42 +430,25 @@ func replay(args []string) int {
 		fmt.Fprintf(os.Stderr, "rrtrace replay: %v\n", err)
 		return 2
 	}
-	if *placement == "all" {
-		if err := scenario.ApplyPDESFlag(*pdes); err != nil {
+	placements := make([][]transport.Endpoint, len(names))
+	for i, name := range names {
+		if placements[i], err = place(name, fab, tr.Meta.Ranks, *stride, *perNode, *core); err != nil {
 			fmt.Fprintf(os.Stderr, "rrtrace replay: %v\n", err)
-			return 2
+			return 1
 		}
-		return replayAll(tr, fab, *stride, *perNode, *core, *congestion, *skipCompute)
 	}
-	var places []collectives.Placement
-	switch *placement {
-	case "block":
-		places = collectives.BlockPlacement(fab, tr.Meta.Ranks, *core)
-	case "strided":
-		places = collectives.StridedPlacement(fab, tr.Meta.Ranks, *stride, *core)
-	case "packed":
-		places = collectives.PackedPlacement(fab, tr.Meta.Ranks, *perNode)
-	default:
-		fmt.Fprintf(os.Stderr, "rrtrace replay: unknown placement %q\n", *placement)
-		return 2
-	}
-	endpoints := toEndpoints(places)
 	cfg := trace.ReplayConfig{
 		Fabric:      fab,
 		Profile:     ib.OpenMPI(),
-		Places:      endpoints,
+		Policy:      pol,
 		SkipCompute: *skipCompute,
 		Observe:     trace.ObserveAll,
 	}
-	switch *congestion {
-	case "on":
-		cfg.Policy = transport.Congested()
-	case "off":
-		cfg.Policy = transport.Policy{}
-	default:
-		fmt.Fprintf(os.Stderr, "rrtrace replay: -congestion must be on or off, got %q\n", *congestion)
-		return 2
+	if *placementName == "all" {
+		cfg.Observe = trace.ObserveCensus
+		return replayAll(tr, cfg, names, placements, *congestion)
 	}
+	cfg.Places = placements[0]
 	start := time.Now()
 	res, err := trace.Replay(tr, cfg)
 	if err != nil {
@@ -402,7 +457,7 @@ func replay(args []string) int {
 	}
 	wall := time.Since(start)
 	fmt.Printf("replayed %s under %s placement (congestion %s): %v simulated\n",
-		res.Name, *placement, *congestion, res.Time)
+		res.Name, *placementName, *congestion, res.Time)
 	fmt.Printf("  %d messages, %v on the wire\n", res.Messages, res.WireBytes)
 	st := res.EngineStats
 	fmt.Printf("  engine: %d events, calendar peak %d, %.0f events/s host\n",
@@ -431,61 +486,34 @@ func replay(args []string) int {
 	return 0
 }
 
-// replayAll replays the trace under the block, strided and packed
-// placements as domains of a zero-lookahead parallel-DES cluster: each
-// placement is an independent simulation run to completion on its own
-// domain engine, spread over the -pdes workers, with results
-// byte-identical to three serial replays. The per-domain counters and
-// per-worker busy/idle it prints are the cluster's own accounting.
-func replayAll(tr *trace.Trace, fab *fabric.System, stride, perNode, core int,
-	congestion string, skipCompute bool) int {
-	names := []string{"block", "strided", "packed"}
-	placements := [][]transport.Endpoint{
-		toEndpoints(collectives.BlockPlacement(fab, tr.Meta.Ranks, core)),
-		toEndpoints(collectives.StridedPlacement(fab, tr.Meta.Ranks, stride, core)),
-		toEndpoints(collectives.PackedPlacement(fab, tr.Meta.Ranks, perNode)),
-	}
-	cfg := trace.ReplayConfig{
-		Fabric:      fab,
-		Profile:     ib.OpenMPI(),
-		SkipCompute: skipCompute,
-		Observe:     trace.ObserveCensus,
-	}
-	switch congestion {
-	case "on":
-		cfg.Policy = transport.Congested()
-	case "off":
-		cfg.Policy = transport.Policy{}
-	default:
-		fmt.Fprintf(os.Stderr, "rrtrace replay: -congestion must be on or off, got %q\n", congestion)
-		return 2
-	}
+// replayAll replays the trace under every named placement as
+// independent runs on a pooled evaluator per -pdes worker, with
+// results byte-identical to serial replays of the same placements.
+func replayAll(tr *trace.Trace, cfg trace.ReplayConfig, names []string,
+	placements [][]transport.Endpoint, congestion string) int {
 	workers := scenario.ParallelWorkers()
 	start := time.Now()
-	results, dstats, wstats, err := trace.ReplayMany(tr, cfg, placements, workers)
+	pool, err := trace.NewEvaluatorPool(tr, cfg, workers)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	defer pool.Close()
+	results, err := pool.EvaluateMany(placements, workers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
 	wall := time.Since(start)
-	fmt.Printf("replayed %s under %d placements (congestion %s) as parallel DES domains: %v wall clock\n",
+	fmt.Printf("replayed %s under %d placements (congestion %s) as independent runs: %v wall clock\n",
 		tr.Meta.Name, len(placements), congestion, wall.Round(time.Millisecond))
 	for i, res := range results {
-		fmt.Printf("  %-8s %v simulated, %d messages, %v on the wire\n",
-			names[i], res.Time, res.Messages, res.WireBytes)
+		fmt.Printf("  %-8s %v simulated, %d messages, %v on the wire, %d events\n",
+			names[i], res.Time, res.Messages, res.WireBytes, res.EngineStats.Dispatched)
 		if c := res.Congestion; c != nil {
 			fmt.Printf("           census: %d links carried flows, %d queued, %v total wait\n",
 				c.Links, c.Queued, c.TotalWait)
 		}
-	}
-	fmt.Printf("  domains: %d, lookahead 0 (independent runs)\n", len(dstats))
-	for i, st := range dstats {
-		fmt.Printf("    domain %d %-8s %9d events, %d windows, %d cross-domain msgs\n",
-			i, names[i], st.Events, st.Windows, st.Sent+st.Received)
-	}
-	for w, st := range wstats {
-		fmt.Printf("    worker %d: busy %v, idle %v\n",
-			w, st.Busy.Round(time.Microsecond), st.Idle.Round(time.Microsecond))
 	}
 	return 0
 }

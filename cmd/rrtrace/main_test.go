@@ -1,0 +1,146 @@
+package main
+
+import (
+	"io"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+
+	"roadrunner/internal/trace"
+	"roadrunner/internal/units"
+)
+
+// runCLI runs rrtrace in-process and returns its exit status and what
+// it printed on stdout and stderr.
+func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	outR, outW, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	errR, errW, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	outC, errC := make(chan string), make(chan string)
+	go func() { b, _ := io.ReadAll(outR); outC <- string(b) }()
+	go func() { b, _ := io.ReadAll(errR); errC <- string(b) }()
+	saveOut, saveErr := os.Stdout, os.Stderr
+	os.Stdout, os.Stderr = outW, errW
+	code = run(args)
+	os.Stdout, os.Stderr = saveOut, saveErr
+	outW.Close()
+	errW.Close()
+	return code, <-outC, <-errC
+}
+
+// smallTrace captures a 16-rank Sweep3D trace into a temporary file.
+func smallTrace(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "t16.jsonl")
+	if code, _, stderr := runCLI(t, "capture", "-px", "4", "-py", "4", "-k", "20", "-o", path); code != 0 {
+		t.Fatalf("capture exited %d: %s", code, stderr)
+	}
+	return path
+}
+
+// TestBadFlagValuesExit2 runs every flag value the placement generators
+// and the census print used to panic on: each must exit 2 with one line
+// on stderr. A trace too wide for the fabric must exit 1 the same way.
+func TestBadFlagValuesExit2(t *testing.T) {
+	tr := smallTrace(t)
+	cases := [][]string{
+		{"replay", "-i", tr, "-placement", "strided", "-stride", "0"},
+		{"optimize", "-i", tr, "-stride", "0"},
+		{"replay", "-i", tr, "-placement", "packed", "-per-node", "5"},
+		{"replay", "-i", tr, "-placement", "all", "-per-node", "0"},
+		{"optimize", "-i", tr, "-per-node", "7"},
+		{"replay", "-i", tr, "-toplinks", "-1"},
+		{"optimize", "-i", tr, "-toplinks", "-1"},
+	}
+	for _, args := range cases {
+		code, stdout, stderr := runCLI(t, args...)
+		if code != 2 || stdout != "" || strings.Count(stderr, "\n") != 1 {
+			t.Errorf("rrtrace %s: exit %d, stdout %q, stderr %q; want exit 2 and one stderr line",
+				strings.Join(args, " "), code, stdout, stderr)
+		}
+	}
+
+	// A trace with more ranks than the machine has nodes is a run error.
+	rec := trace.NewRecorder("wide", "test", 3061)
+	for r := 0; r < 3061; r++ {
+		rec.Compute(r, units.Microsecond, 0)
+	}
+	wide, err := rec.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "wide.jsonl")
+	if err := trace.Save(path, wide); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"replay", "-i", path}, {"optimize", "-i", path}} {
+		code, _, stderr := runCLI(t, args...)
+		if code != 1 || strings.Count(stderr, "\n") != 1 {
+			t.Errorf("rrtrace %s on a 3061-rank trace: exit %d, stderr %q; want exit 1 and one line",
+				args[0], code, stderr)
+		}
+	}
+}
+
+// TestReplayAllMatchesSingleReplays drives the batch path: -placement
+// all prints the same per-placement lines at one and at two workers,
+// and each makespan equals that placement's single replay.
+func TestReplayAllMatchesSingleReplays(t *testing.T) {
+	tr := smallTrace(t)
+	lines := func(pdes string) []string {
+		code, stdout, stderr := runCLI(t, "replay", "-i", tr, "-placement", "all", "-pdes", pdes)
+		if code != 0 {
+			t.Fatalf("-pdes %s: exit %d: %s", pdes, code, stderr)
+		}
+		out := strings.Split(strings.TrimSpace(stdout), "\n")
+		if !strings.Contains(out[0], "wall clock") {
+			t.Fatalf("-pdes %s: first line %q is not the wall-clock line", pdes, out[0])
+		}
+		return out[1:]
+	}
+	serial, parallel := lines("off"), lines("2")
+	if strings.Join(serial, "\n") != strings.Join(parallel, "\n") {
+		t.Errorf("per-placement lines differ:\n-pdes off:\n%s\n-pdes 2:\n%s",
+			strings.Join(serial, "\n"), strings.Join(parallel, "\n"))
+	}
+	batch := regexp.MustCompile(`^  (\w+)\s+(\S+) simulated, .* events$`)
+	single := regexp.MustCompile(`: (\S+) simulated`)
+	found := 0
+	for _, l := range serial {
+		m := batch.FindStringSubmatch(l)
+		if m == nil {
+			continue
+		}
+		found++
+		code, stdout, stderr := runCLI(t, "replay", "-i", tr, "-placement", m[1])
+		if code != 0 {
+			t.Fatalf("replay -placement %s: exit %d: %s", m[1], code, stderr)
+		}
+		if s := single.FindStringSubmatch(stdout); s == nil || s[1] != m[2] {
+			t.Errorf("%s: batch makespan %s, single replay printed %q", m[1], m[2], stdout)
+		}
+	}
+	if found != 3 {
+		t.Errorf("%d placement lines in\n%s", found, strings.Join(serial, "\n"))
+	}
+}
+
+// TestReplayCongestionOffPrintsCensus: off is the infinite-capacity
+// fabric, whose census is kept but never queues.
+func TestReplayCongestionOffPrintsCensus(t *testing.T) {
+	code, stdout, stderr := runCLI(t, "replay", "-i", smallTrace(t), "-congestion=off")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	if !regexp.MustCompile(`(?m)^  census: \d+ links carried flows, 0 queued, `).MatchString(stdout) {
+		t.Errorf("no census line with 0 queued in\n%s", stdout)
+	}
+}

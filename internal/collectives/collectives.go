@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 
 	"roadrunner/internal/fabric"
 	"roadrunner/internal/ib"
@@ -349,41 +350,6 @@ func reducedValue(p, i int) float64 {
 	return float64(1000003)*float64(p)*float64(p+1)/2 + float64(p)*float64(i*7919)
 }
 
-// pendingRun is one prepared collective: its comm and rank procs live on
-// an engine the caller runs (alone, or as one domain of a sim.Cluster).
-type pendingRun struct {
-	c    *comm
-	op   Op
-	size units.Size
-	out  [][]float64
-}
-
-// prepare validates the run's inputs and spawns its rank procs on eng.
-// The spawned state is exactly what Run builds, so finishing a prepared
-// run yields a Result byte-identical to Run's.
-func prepare(eng *sim.Engine, cfg Config, op Op, size units.Size) (*pendingRun, error) {
-	if err := checkConfig(cfg); err != nil {
-		return nil, err
-	}
-	ranks := len(cfg.Places)
-	if size < 0 {
-		return nil, fmt.Errorf("collectives: negative size %d", size)
-	}
-	algo, ok := algorithms[op]
-	if !ok {
-		return nil, fmt.Errorf("collectives: unknown op %q (have %v)", op, Ops())
-	}
-	pr := &pendingRun{c: newComm(eng, cfg), op: op, size: size, out: make([][]float64, ranks)}
-	for r := 0; r < ranks; r++ {
-		r := r
-		eng.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
-			pr.out[r] = algo(pr.c, p, r, size)
-			pr.c.finish[r] = p.Now()
-		})
-	}
-	return pr, nil
-}
-
 // checkConfig validates what every entry point builds its comms from:
 // at least one rank, a root among them, a fabric, and every rank on a
 // node inside that fabric and on a real Opteron core.
@@ -410,30 +376,47 @@ func checkConfig(cfg Config) error {
 	return nil
 }
 
-// finish validates the completed run's semantic payloads and assembles
-// its Result.
-func (pr *pendingRun) finish(st sim.Stats) (*Result, error) {
-	if err := validate(pr.op, pr.c.cfg, pr.out); err != nil {
-		return nil, err
-	}
-	return pr.c.result(pr.op, pr.size, pr.out, st), nil
-}
-
 // Run executes one collective on a fresh engine and returns its Result.
 // The run is deterministic and self-validating: reductions, gathers and
 // broadcasts check their semantic payloads against the collective's
 // definition and fail loudly on any algorithm bug.
 func Run(cfg Config, op Op, size units.Size) (*Result, error) {
-	eng := sim.NewEngine()
-	defer eng.Close()
-	pr, err := prepare(eng, cfg, op, size)
+	algo, err := check(cfg, op, size)
 	if err != nil {
 		return nil, err
+	}
+	eng := sim.NewEngine()
+	defer eng.Close()
+	c := newComm(eng, cfg)
+	out := make([][]float64, len(cfg.Places))
+	for r := range out {
+		eng.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
+			out[r] = algo(c, p, r, size)
+			c.finish[r] = p.Now()
+		})
 	}
 	if err := eng.Run(); err != nil {
 		return nil, fmt.Errorf("collectives: %s over %d ranks: %w", op, len(cfg.Places), err)
 	}
-	return pr.finish(eng.Stats())
+	if err := validate(op, cfg, out); err != nil {
+		return nil, err
+	}
+	return c.result(op, size, out, eng.Stats()), nil
+}
+
+// check validates a run's inputs and returns its algorithm.
+func check(cfg Config, op Op, size units.Size) (func(*comm, *sim.Proc, int, units.Size) []float64, error) {
+	if err := checkConfig(cfg); err != nil {
+		return nil, err
+	}
+	if size < 0 {
+		return nil, fmt.Errorf("collectives: negative size %d", size)
+	}
+	algo, ok := algorithms[op]
+	if !ok {
+		return nil, fmt.Errorf("collectives: unknown op %q (have %v)", op, Ops())
+	}
+	return algo, nil
 }
 
 // Request is one independent collective run, for RunMany.
@@ -443,45 +426,86 @@ type Request struct {
 	Size units.Size
 }
 
-// RunMany executes independent collective runs concurrently, one
-// sim.Cluster domain per request, spread over the given number of
-// worker goroutines (workers < 1 uses one worker per request up to
-// GOMAXPROCS). Each run is its own engine, transport and fabric
-// state — the CU/communicator granularity at which the machine
-// partitions cleanly, since the ib endpoint model couples a
-// communicator's HCAs at instant granularity — so every Result is
-// byte-identical to Run's for the same request, in request order, at
-// any worker count. The serial engine path is unchanged: workers == 1
-// executes the same domains on one goroutine.
+// RunMany executes independent collective runs concurrently and
+// returns their Results in request order. It validates every request
+// first; then up to workers goroutines (workers < 1 uses GOMAXPROCS)
+// each claim the next request in index order and Run it on a fresh
+// engine, so at most workers runs hold simulation state at once. Runs
+// share no state, so every Result is byte-identical to Run's for the
+// same request at any worker count.
+//
+// A failed run — an error, a deadlock, or a panic inside the run, which
+// comes back as an error instead of crashing the process — stops the
+// batch: no request starts after it, and the error returned is the one
+// of the lowest-index failed request, the same at every worker count
+// (claims run in index order, so every request below a failure was
+// already claimed and runs to the end).
 func RunMany(reqs []Request, workers int) ([]*Result, error) {
 	if len(reqs) == 0 {
 		return nil, fmt.Errorf("collectives: no requests")
 	}
+	for i, rq := range reqs {
+		if _, err := check(rq.Cfg, rq.Op, rq.Size); err != nil {
+			return nil, fmt.Errorf("collectives: request %d: %w", i, err)
+		}
+	}
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	cl := sim.NewCluster(len(reqs), 0)
-	defer cl.Close()
-	prs := make([]*pendingRun, len(reqs))
-	for i, rq := range reqs {
-		pr, err := prepare(cl.Domain(i), rq.Cfg, rq.Op, rq.Size)
-		if err != nil {
-			return nil, fmt.Errorf("collectives: request %d: %w", i, err)
-		}
-		prs[i] = pr
-	}
-	if err := cl.Run(workers); err != nil {
-		return nil, fmt.Errorf("collectives: parallel runs: %w", err)
-	}
 	results := make([]*Result, len(reqs))
-	for i, pr := range prs {
-		res, err := pr.finish(cl.Domain(i).Stats())
-		if err != nil {
-			return nil, err
+	var (
+		mu      sync.Mutex
+		next    int
+		failed  int
+		failErr error
+		wg      sync.WaitGroup
+	)
+	claim := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		if next == len(reqs) || failErr != nil {
+			return -1
 		}
-		results[i] = res
+		next++
+		return next - 1
+	}
+	fail := func(i int, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if failErr == nil || i < failed {
+			failed, failErr = i, fmt.Errorf("collectives: request %d: %w", i, err)
+		}
+	}
+	for w := 0; w < min(workers, len(reqs)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := claim(); i >= 0; i = claim() {
+				res, err := runRecovered(reqs[i])
+				if err != nil {
+					fail(i, err)
+					return
+				}
+				results[i] = res
+			}
+		}()
+	}
+	wg.Wait()
+	if failErr != nil {
+		return nil, failErr
 	}
 	return results, nil
+}
+
+// runRecovered runs one request, turning a panic inside the run into an
+// error; Run's deferred Close has torn the engine down by then.
+func runRecovered(rq Request) (res *Result, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			res, err = nil, fmt.Errorf("panic: %v", v)
+		}
+	}()
+	return Run(rq.Cfg, rq.Op, rq.Size)
 }
 
 // censusTop is how many contended links a Result's census retains.

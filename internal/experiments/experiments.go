@@ -44,8 +44,8 @@ type Experiment struct {
 	// pin, in one sentence; rrexp -list prints it under each entry.
 	Description string
 	// Expensive marks experiments whose single run dominates the whole
-	// suite (the congestion sweep today; its full-machine alltoall is
-	// minutes of serial event loop, seconds under parallel DES). The
+	// suite (the congestion sweep today; its full-machine alltoall alone
+	// is minutes of event loop). The
 	// -short test skip and the experiment docs consult this one flag
 	// instead of keeping their own ID lists.
 	Expensive bool

@@ -29,10 +29,6 @@ import (
 //   - CacheKey is exact: two sources with equal CacheKey produce, for
 //     every destination, routes with identical fabric-interior links
 //     and identical hop counts. CacheRows bounds CacheKey + 1.
-//   - MinCrossDomainRoute is a lower bound on Hops(a, b) over all pairs
-//     with a.CU != b.CU — the crossbar floor conservative-PDES windows
-//     are derived from (transport.CrossDomainLookahead). Understating
-//     it costs parallelism; overstating it would corrupt results.
 type Topology interface {
 	// Name returns the registry name ("fattree", "torus", ...).
 	Name() string
@@ -50,8 +46,6 @@ type Topology interface {
 	CacheKey(src NodeID) int
 	// CacheRows returns the cache row count (CacheKey < CacheRows).
 	CacheRows() int
-	// MinCrossDomainRoute returns the minimum cross-CU hop count.
-	MinCrossDomainRoute() int
 	// PairClass names the destination class of the (a, b) route.
 	PairClass(a, b NodeID) string
 	// Links enumerates every directed link channel of the plant.
@@ -135,10 +129,6 @@ func (s *System) CacheKey(src NodeID) int { return s.topo.CacheKey(src) }
 
 // CacheRows returns the route-cache row count.
 func (s *System) CacheRows() int { return s.topo.CacheRows() }
-
-// MinCrossDomainRoute returns the minimum cross-CU hop count: the
-// crossbar floor PDES lookahead windows are derived from.
-func (s *System) MinCrossDomainRoute() int { return s.topo.MinCrossDomainRoute() }
 
 // Links enumerates every directed link channel of the plant, sorted by
 // Key. The key-uniqueness and inventory tests run over it.

@@ -238,57 +238,6 @@ func TestLinkKeyOverflowPanics(t *testing.T) {
 	}
 }
 
-// TestMinCrossDomainRoutePerTopology verifies the derived PDES floor:
-// no cross-CU pair routes in fewer hops than MinCrossDomainRoute claims
-// (exhaustively at 2 CUs, sampled at 13), and the floor is attained by
-// some pair — it is the minimum, not just a bound — on the trees and
-// the torus.
-func TestMinCrossDomainRoutePerTopology(t *testing.T) {
-	for _, name := range Topologies() {
-		t.Run(name, func(t *testing.T) {
-			s, err := NewTopologyScaled(name, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			floor := s.MinCrossDomainRoute()
-			if floor < 1 {
-				t.Fatalf("%s: floor %d", name, floor)
-			}
-			min := -1
-			for i := 0; i < params.NodesPerCU; i++ {
-				for j := 0; j < params.NodesPerCU; j++ {
-					h := s.Hops(NodeID{0, i}, NodeID{1, j})
-					if h < floor {
-						t.Fatalf("%s: cross-CU pair %v->%v routes in %d hops, below floor %d",
-							name, NodeID{0, i}, NodeID{1, j}, h, floor)
-					}
-					if min < 0 || h < min {
-						min = h
-					}
-				}
-			}
-			if min != floor {
-				t.Errorf("%s: min cross-CU hops %d, floor claims %d", name, min, floor)
-			}
-			s13, err := NewTopologyScaled(name, 13)
-			if err != nil {
-				t.Fatal(err)
-			}
-			floor13 := s13.MinCrossDomainRoute()
-			for _, a := range sampleNodes(s13) {
-				for _, b := range sampleNodes(s13) {
-					if a.CU == b.CU {
-						continue
-					}
-					if h := s13.Hops(a, b); h < floor13 {
-						t.Fatalf("%s/13CU: %v->%v %d hops below floor %d", name, a, b, h, floor13)
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestFatTreeViaInterfaceByteIdentical pins the tentpole's conservation
 // law: the "fattree" topology built through the registry produces, for
 // every sampled pair, exactly the routes and hop counts of the legacy

@@ -107,40 +107,6 @@ func (t *torus) MaxRouteLen() int { return t.nx/2 + t.ny/2 + t.nz/2 + 2 }
 func (t *torus) CacheKey(src NodeID) int { return src.GlobalID() }
 func (t *torus) CacheRows() int          { return t.cus * params.NodesPerCU }
 
-// MinCrossDomainRoute scans every router's positive neighbors for a
-// cross-CU adjacency: CU-major numbering over an x-fastest torus always
-// yields neighboring nodes in different CUs, making the floor 2 hops
-// (two routers) — one crossbar fewer than the fat-tree's 3, which is
-// exactly why a hard-coded 3-crossbar lookahead would be unsafe here.
-// If no adjacency crossed a CU the true minimum would be larger; 2 is
-// then still a safe (conservative) floor.
-func (t *torus) MinCrossDomainRoute() int {
-	if t.cus == 1 {
-		return 2 // no cross-CU pairs; any positive floor is safe
-	}
-	n := t.cus * params.NodesPerCU
-	strides := [3]int{1, t.nx, t.nx * t.ny}
-	sizes := [3]int{t.nx, t.ny, t.nz}
-	for g := 0; g < n; g++ {
-		cu := g / params.NodesPerCU
-		x, y, z := t.coords(g)
-		coord := [3]int{x, y, z}
-		for d := 0; d < 3; d++ {
-			if sizes[d] == 1 {
-				continue
-			}
-			next := g + strides[d]
-			if coord[d] == sizes[d]-1 { // wrap
-				next = g - (sizes[d]-1)*strides[d]
-			}
-			if next/params.NodesPerCU != cu {
-				return 2
-			}
-		}
-	}
-	return 2
-}
-
 // PairClass names torus routes by their ring distance.
 func (t *torus) PairClass(a, b NodeID) string {
 	t.validate(a)

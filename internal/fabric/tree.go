@@ -119,10 +119,6 @@ func (t *tree) MaxRouteLen() int { return RouteMax }
 func (t *tree) CacheKey(src NodeID) int { return src.XbarID() }
 func (t *tree) CacheRows() int          { return t.cus * LineXbarsPerCU }
 
-// MinCrossDomainRoute: the shortest cross-CU route crosses three
-// crossbars (Table I's same-index-crossbar shortcut), on every variant.
-func (t *tree) MinCrossDomainRoute() int { return 3 }
-
 // hash is the routing hash the destination-addressed choices (spine,
 // uplink switch, middle crossbars) derive from. The default tree hashes
 // the destination alone — InfiniBand's static linear forwarding tables

@@ -36,9 +36,11 @@ type Options struct {
 	// the current model-input fingerprint is already stored, and stores
 	// freshly computed artifacts.
 	Cache *Cache
-	// OnResult, when non-nil, is invoked once per experiment as results
-	// complete (completion order, not suite order). Calls are serialized;
-	// the callback must not block for long or it stalls the pool.
+	// OnResult, when non-nil, is invoked once per experiment in suite
+	// order, as soon as that result and every one before it are complete,
+	// so a stream built from it is the same at every worker count. Calls
+	// are serialized; the callback must not block for long or it stalls
+	// the pool.
 	OnResult func(*Result)
 }
 
@@ -79,20 +81,25 @@ func Run(ctx context.Context, exps []experiments.Experiment, opts Options) ([]*R
 
 	results := make([]*Result, len(exps))
 	jobs := make(chan int)
-	var emit sync.Mutex
-	var wg sync.WaitGroup
+	var (
+		emit    sync.Mutex
+		emitted int // results[:emitted] went to OnResult
+		wg      sync.WaitGroup
+	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
 				r := runOne(ctx, exps[i], opts)
+				emit.Lock()
 				results[i] = r
-				if opts.OnResult != nil {
-					emit.Lock()
-					opts.OnResult(r)
-					emit.Unlock()
+				for ; emitted < len(results) && results[emitted] != nil; emitted++ {
+					if opts.OnResult != nil {
+						opts.OnResult(results[emitted])
+					}
 				}
+				emit.Unlock()
 			}
 		}()
 	}

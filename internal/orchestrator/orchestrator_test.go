@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -40,10 +41,10 @@ func TestParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite")
 	}
-	// The whole registry, Expensive experiments included: the parallel
-	// DES path spreads the congestion sweep's independent runs across
-	// cores, so the double run is affordable everywhere (-pdes=off on
-	// the CLIs, or SetParallel(1), still forces the serial engine).
+	// The whole registry, Expensive experiments included: the congestion
+	// sweep spreads its independent runs across cores, so the double run
+	// is affordable everywhere (-pdes=off on the CLIs, or
+	// SetParallel(1), runs them one at a time).
 	exps := experiments.All()
 	ctx := context.Background()
 	serial, err := Run(ctx, exps, Options{Workers: 1})
@@ -73,6 +74,28 @@ func TestResultsInSuiteOrder(t *testing.T) {
 		if r.ID != exps[i].ID {
 			t.Errorf("result %d = %s, want %s", i, r.ID, exps[i].ID)
 		}
+	}
+}
+
+// TestOnResultInSuiteOrder: a slow first experiment holds back the
+// stream of the faster ones behind it, so the JSONL artifact has the
+// same line order at every worker count.
+func TestOnResultInSuiteOrder(t *testing.T) {
+	exp := func(id string, d time.Duration) experiments.Experiment {
+		return experiments.Experiment{ID: id, Title: id, PaperRef: "test",
+			Run: func() *experiments.Artifact {
+				time.Sleep(d)
+				return &experiments.Artifact{ID: id}
+			}}
+	}
+	exps := []experiments.Experiment{exp("slow", 200*time.Millisecond), exp("fast1", 0), exp("fast2", 0)}
+	var got []string
+	if _, err := Run(context.Background(), exps, Options{Workers: 3,
+		OnResult: func(r *Result) { got = append(got, r.ID) }}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"slow", "fast1", "fast2"}; !slices.Equal(got, want) {
+		t.Errorf("OnResult order %v, want %v", got, want)
 	}
 }
 

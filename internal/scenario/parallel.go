@@ -7,17 +7,17 @@ import (
 	"sync/atomic"
 )
 
-// The scenario sweeps run their independent simulations — separate
-// (op, communicator, fabric-policy) points, replay placements — as
-// domains of a sim.Cluster, spread across cores. Results are
-// byte-identical at any worker count (pinned by the orchestrator's
-// serial ≡ parallel suite and the pdes-smoke CI job); the knob exists so
-// the CLIs' -pdes=off flag can force the plain serial engine path.
-var pdesWorkers atomic.Int32 // 0 = auto (NumCPU); 1 = serial escape hatch
+// The scenario sweeps spread their independent simulations — separate
+// (op, communicator, fabric-policy) points, replay placements — over a
+// pool of workers (collectives.RunMany, trace.EvaluatorPool.EvaluateMany).
+// Results are byte-identical at any worker count (pinned by the
+// orchestrator's serial ≡ parallel suite and the pdes-smoke CI job); the
+// knob only sets how many runs go at once.
+var pdesWorkers atomic.Int32 // 0 = auto (GOMAXPROCS); 1 = one run at a time
 
-// SetParallel sets how many workers the sweeps' parallel-DES runs use:
-// 0 restores auto (one per CPU), 1 forces the serial engine path
-// (the -pdes=off escape hatch), higher values pin a worker count.
+// SetParallel sets how many workers the sweeps' independent runs use:
+// 0 restores auto (GOMAXPROCS), 1 runs them one at a time (the CLIs'
+// -pdes=off), higher values pin a worker count.
 func SetParallel(workers int) {
 	if workers < 0 {
 		workers = 0
@@ -25,10 +25,10 @@ func SetParallel(workers int) {
 	pdesWorkers.Store(int32(workers))
 }
 
-// ParallelWorkers returns the effective worker count for parallel-DES
-// sweeps. Auto follows GOMAXPROCS, not the raw CPU count, so
-// GOMAXPROCS=1 environments (the pdes-smoke CI job's serial leg) get
-// the serial path without touching the flag.
+// ParallelWorkers returns the effective worker count for the sweeps'
+// independent runs. Auto follows GOMAXPROCS, not the raw CPU count, so
+// GOMAXPROCS=1 environments (the pdes-smoke CI job's serial leg) run
+// one at a time without touching the flag.
 func ParallelWorkers() int {
 	if w := pdesWorkers.Load(); w > 0 {
 		return int(w)
@@ -36,10 +36,10 @@ func ParallelWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// ApplyPDESFlag parses the CLIs' shared -pdes value: "off" forces the
-// serial engine path (the escape hatch), "auto" (or "") sizes the
-// worker pool to GOMAXPROCS, and a positive integer pins the worker
-// count. Any setting changes wall clock only, never results.
+// ApplyPDESFlag parses the CLIs' shared -pdes value, the number of
+// workers for independent runs: "off" means one, "auto" (or "") sizes
+// the pool to GOMAXPROCS, and a positive integer pins the count. Any
+// setting changes wall clock only, never results.
 func ApplyPDESFlag(v string) error {
 	switch v {
 	case "off":

@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// TestSweepsParallelMatchSerial pins the scenario layer's parallel-DES
+// TestSweepsParallelMatchSerial pins the scenario layer's worker-count
 // contract end to end: the saturation and trace-replay sweeps produce
-// byte-identical reports under the serial escape hatch (SetParallel(1),
-// the CLIs' -pdes=off) and under an explicit multi-worker pool — the
-// same equivalence the pdes-smoke CI job checks on the full artifacts.
+// byte-identical reports at one worker (SetParallel(1), the CLIs'
+// -pdes=off) and under an explicit multi-worker pool — the same
+// equivalence the pdes-smoke CI job checks on the full artifacts.
 func TestSweepsParallelMatchSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("four full sweeps")

@@ -110,11 +110,9 @@ func SaturationSubset(nodeCounts []int) ([]SaturationPoint, error) {
 
 // saturationSweep measures every (op, communicator) point on both
 // fabrics. Each of the sweep's runs is an independent simulation, so
-// they execute as domains of a sim.Cluster across ParallelWorkers()
-// cores — the full-machine congested alltoall overlaps the other 23
-// runs instead of following them — with results byte-identical to the
-// serial loop, which SetParallel(1) (the CLIs' -pdes=off) still takes
-// verbatim.
+// RunMany spreads them over ParallelWorkers() workers — the
+// full-machine congested alltoall overlaps the other 23 runs instead of
+// following them — with results byte-identical at any worker count.
 func saturationSweep(nodeCounts []int) ([]SaturationPoint, error) {
 	var reqs []collectives.Request
 	for _, op := range SaturationOps {
@@ -132,22 +130,9 @@ func saturationSweep(nodeCounts []int) ([]SaturationPoint, error) {
 				collectives.Request{Cfg: congCfg, Op: op, Size: SaturationSize})
 		}
 	}
-	results := make([]*collectives.Result, len(reqs))
-	if workers := ParallelWorkers(); workers > 1 {
-		rs, err := collectives.RunMany(reqs, workers)
-		if err != nil {
-			return nil, fmt.Errorf("scenario coll-saturation: %w", err)
-		}
-		copy(results, rs)
-	} else {
-		// Serial escape hatch: the plain single-engine loop.
-		for i, rq := range reqs {
-			r, err := collectives.Run(rq.Cfg, rq.Op, rq.Size)
-			if err != nil {
-				return nil, fmt.Errorf("scenario coll-saturation: %w", err)
-			}
-			results[i] = r
-		}
+	results, err := collectives.RunMany(reqs, ParallelWorkers())
+	if err != nil {
+		return nil, fmt.Errorf("scenario coll-saturation: %w", err)
 	}
 	var out []SaturationPoint
 	i := 0

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"sync"
 
 	"roadrunner/internal/collectives"
 	"roadrunner/internal/fabric"
@@ -109,15 +108,13 @@ type TopoCompareReport struct {
 
 // TopoCompare runs the collective and replay legs on every registered
 // topology. Every run is an independent simulation, spread over
-// ParallelWorkers() with results byte-identical to the serial loop
-// (SetParallel(1), the CLIs' -pdes=off, still takes the serial path
-// verbatim).
+// ParallelWorkers() workers with results byte-identical at any worker
+// count.
 func TopoCompare() (*TopoCompareReport, error) {
 	rep := &TopoCompareReport{Topologies: fabric.Topologies()}
 
 	// Collective leg: (topology x op) congested + baseline requests,
-	// batched through the same RunMany cluster the saturation sweep
-	// uses.
+	// batched through RunMany as the saturation sweep is.
 	var reqs []collectives.Request
 	for _, topo := range rep.Topologies {
 		for _, op := range TopoCompareOps {
@@ -134,21 +131,9 @@ func TopoCompare() (*TopoCompareReport, error) {
 				collectives.Request{Cfg: congCfg, Op: op, Size: TopoCompareSize})
 		}
 	}
-	results := make([]*collectives.Result, len(reqs))
-	if workers := ParallelWorkers(); workers > 1 {
-		rs, err := collectives.RunMany(reqs, workers)
-		if err != nil {
-			return nil, fmt.Errorf("scenario topo-compare: %w", err)
-		}
-		copy(results, rs)
-	} else {
-		for i, rq := range reqs {
-			r, err := collectives.Run(rq.Cfg, rq.Op, rq.Size)
-			if err != nil {
-				return nil, fmt.Errorf("scenario topo-compare: %w", err)
-			}
-			results[i] = r
-		}
+	results, err := collectives.RunMany(reqs, ParallelWorkers())
+	if err != nil {
+		return nil, fmt.Errorf("scenario topo-compare: %w", err)
 	}
 	i := 0
 	for _, topo := range rep.Topologies {
@@ -179,8 +164,8 @@ func TopoCompare() (*TopoCompareReport, error) {
 
 	// Replay leg: one captured Sweep3D iteration, replayed per topology
 	// under block and strided placements, congested vs baseline. One
-	// evaluator pool per (topology, policy); the pools run concurrently
-	// and each spreads its placements over the worker pool.
+	// evaluator pool per (topology, policy), in turn; each spreads its
+	// placements over ParallelWorkers() workers.
 	tr, _, err := CaptureSweep3DTrace()
 	if err != nil {
 		return nil, err
@@ -233,25 +218,8 @@ func TopoCompare() (*TopoCompareReport, error) {
 		return out, nil
 	}
 	legResults := make([][]*trace.ReplayResult, len(legs))
-	legErrs := make([]error, len(legs))
-	if workers > 1 {
-		var wg sync.WaitGroup
-		for i, l := range legs {
-			i, l := i, l
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				legResults[i], legErrs[i] = run(l)
-			}()
-		}
-		wg.Wait()
-	} else {
-		for i, l := range legs {
-			legResults[i], legErrs[i] = run(l)
-		}
-	}
-	for _, err := range legErrs {
-		if err != nil {
+	for i, l := range legs {
+		if legResults[i], err = run(l); err != nil {
 			return nil, err
 		}
 	}

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"sync"
 
 	"roadrunner/internal/cml"
 	"roadrunner/internal/collectives"
@@ -175,11 +174,10 @@ func ReplayUnderPlacements(tr *trace.Trace, captureIteration units.Time) (*Trace
 	}
 	// One evaluator pool per (policy, skip-compute) configuration, each
 	// replaying every placement: the trace validates once per pool and
-	// the engine/transport state is reused across the sweep. The pool's
-	// EvaluateMany spreads the placements over ParallelWorkers() warm
-	// evaluators — and the four configurations themselves run
-	// concurrently — with results byte-identical to the serial walk,
-	// which SetParallel(1) (the CLIs' -pdes=off) still takes verbatim.
+	// the engine/transport state is reused across the sweep. The
+	// configurations run in turn; each pool's EvaluateMany spreads the
+	// placements over ParallelWorkers() warm evaluators, with results
+	// byte-identical at any worker count.
 	workers := ParallelWorkers()
 	run := func(pol transport.Policy, skipCompute bool, what string) ([]*trace.ReplayResult, error) {
 		pool, err := trace.NewEvaluatorPool(tr, trace.ReplayConfig{
@@ -212,26 +210,9 @@ func ReplayUnderPlacements(tr *trace.Trace, captureIteration units.Time) (*Trace
 		{transport.Congested(), true, "comm congested"},
 	}
 	results := make([][]*trace.ReplayResult, len(configs))
-	errs := make([]error, len(configs))
-	if workers > 1 {
-		var wg sync.WaitGroup
-		for i, c := range configs {
-			i, c := i, c
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				results[i], errs[i] = run(c.pol, c.skip, c.what)
-			}()
-		}
-		wg.Wait()
-	} else {
-		// Serial escape hatch: the four configurations in order.
-		for i, c := range configs {
-			results[i], errs[i] = run(c.pol, c.skip, c.what)
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
+	for i, c := range configs {
+		var err error
+		if results[i], err = run(c.pol, c.skip, c.what); err != nil {
 			return nil, err
 		}
 	}

@@ -61,9 +61,8 @@ type Evaluator struct {
 	ranksDone int
 	err       error
 
-	used     bool // at least one Evaluate ran: reset and relaunch next time
-	closed   bool
-	borrowed bool // engine supplied by the caller: Close leaves it alone
+	used   bool // at least one Evaluate ran: reset and relaunch next time
+	closed bool
 }
 
 // The compiled op kinds.
@@ -127,15 +126,6 @@ const (
 // congestion policy, compute scaling, observers) is fixed for the
 // evaluator's lifetime. Close releases the engine when done.
 func NewEvaluator(t *Trace, cfg ReplayConfig) (*Evaluator, error) {
-	return newEvaluator(nil, t, cfg)
-}
-
-// newEvaluator builds an evaluator on a fresh engine, or with a non-nil
-// eng on that engine — a sim.Cluster domain, for batch replays that
-// want the cluster's per-domain counters. The caller then owns the
-// engine's lifecycle (Close leaves it alone) and drives it between the
-// evaluator's start and finish halves.
-func newEvaluator(eng *sim.Engine, t *Trace, cfg ReplayConfig) (*Evaluator, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
@@ -187,11 +177,7 @@ func newEvaluator(eng *sim.Engine, t *Trace, cfg ReplayConfig) (*Evaluator, erro
 		}
 	}
 
-	if eng != nil {
-		e.eng, e.borrowed = eng, true
-	} else {
-		e.eng = sim.NewEngine()
-	}
+	e.eng = sim.NewEngine()
 	e.net = transport.New(e.eng, cfg.Fabric, cfg.Profile, cfg.Policy)
 	e.walkers = make([]walker, ranks)
 	for rank := range e.walkers {
@@ -407,26 +393,11 @@ func (e *Evaluator) Trace() *Trace { return e.tr }
 // always are; per-send timing and the link census only when requested —
 // the optimizer's inner loop pays only for what it reads.
 func (e *Evaluator) Evaluate(places []transport.Endpoint) (*ReplayResult, error) {
-	if err := e.start(places); err != nil {
-		return nil, err
-	}
-	if err := e.eng.Run(); err != nil {
-		e.Close()
-		return nil, fmt.Errorf("trace: replay %s: %w", e.tr.Meta.Name, err)
-	}
-	return e.finish()
-}
-
-// start is the pre-run half of Evaluate: it validates the placement and
-// arms the pooled state so driving the engine — by Evaluate itself, or
-// by the cluster a borrowed-engine evaluator's domain belongs to —
-// performs the replay. finish collects the result afterwards.
-func (e *Evaluator) start(places []transport.Endpoint) error {
 	if e.closed {
-		return fmt.Errorf("trace: replay: evaluator is closed")
+		return nil, fmt.Errorf("trace: replay: evaluator is closed")
 	}
 	if err := validatePlaces(e.tr, e.cfg.Fabric, places); err != nil {
-		return err
+		return nil, err
 	}
 	if e.used {
 		e.eng.Reset()
@@ -448,18 +419,16 @@ func (e *Evaluator) start(places []transport.Endpoint) error {
 	} else {
 		e.sends = nil
 	}
-	e.res = &ReplayResult{
+	res := &ReplayResult{
 		Name:       e.tr.Meta.Name,
 		Ranks:      e.tr.Meta.Ranks,
 		RankFinish: make([]units.Time, e.tr.Meta.Ranks),
 	}
-	return nil
-}
-
-// finish is the post-run half of Evaluate: it validates completion and
-// packages the armed run's result.
-func (e *Evaluator) finish() (*ReplayResult, error) {
-	res := e.res
+	e.res = res
+	if err := e.eng.Run(); err != nil {
+		e.Close()
+		return nil, fmt.Errorf("trace: replay %s: %w", e.tr.Meta.Name, err)
+	}
 	if e.err != nil {
 		return nil, e.err
 	}
@@ -498,9 +467,7 @@ func (e *Evaluator) Close() {
 		return
 	}
 	e.closed = true
-	if !e.borrowed {
-		e.eng.Close()
-	}
+	e.eng.Close()
 }
 
 // validatePlaces checks a placement against the trace and fabric the

@@ -2,8 +2,8 @@ package trace
 
 import (
 	"errors"
+	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"roadrunner/internal/transport"
 )
@@ -106,70 +106,82 @@ func (p *EvaluatorPool) Put(e *Evaluator) {
 }
 
 // EvaluateMany replays every placement and returns the results in
-// input order. With workers > 1 the placements spread across up to that
-// many checked-out evaluators running concurrently — the pool's
-// opt-in parallel knob; workers <= 1 is the serial default, one warm
-// evaluator walking the placements in order, exactly the pre-pool loop.
-// Because Evaluate on any pooled evaluator is pinned byte-identical to
-// a fresh Replay of the same placement, which evaluator handles which
-// placement is observable only in wall clock: the returned results are
-// identical at every worker count. The first evaluation error aborts
-// the batch.
+// input order. Up to workers goroutines (workers < 1 means one) each
+// check out an evaluator and claim placements in index order until
+// none are left. Because Evaluate on any pooled evaluator is pinned
+// byte-identical to a fresh Replay of the same placement, which
+// evaluator handles which placement is observable only in wall clock:
+// the returned results are identical at every worker count.
+//
+// A failed evaluation — an error, or a panic inside the replay, which
+// closes that evaluator instead of crashing the process — stops the
+// batch: no placement starts after it, and the error returned is the
+// one of the lowest-index failed placement, the same at every worker
+// count (claims run in index order, so every placement below a failure
+// was already claimed and runs to the end).
 func (p *EvaluatorPool) EvaluateMany(placements [][]transport.Endpoint, workers int) ([]*ReplayResult, error) {
 	out := make([]*ReplayResult, len(placements))
-	if workers > len(placements) {
-		workers = len(placements)
-	}
-	if workers <= 1 {
-		ev, err := p.Get()
-		if err != nil {
-			return nil, err
-		}
-		defer p.Put(ev)
-		for i, places := range placements {
-			r, err := ev.Evaluate(places)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = r
-		}
-		return out, nil
-	}
 	var (
-		next    atomic.Int64
+		mu      sync.Mutex
+		next    int
+		failed  int
+		failErr error
 		wg      sync.WaitGroup
-		errOnce sync.Once
-		firstE  error
 	)
-	for w := 0; w < workers; w++ {
+	claim := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		if next == len(placements) || failErr != nil {
+			return -1
+		}
+		next++
+		return next - 1
+	}
+	fail := func(i int, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if failErr == nil || i < failed {
+			failed, failErr = i, fmt.Errorf("trace: replay placement %d: %w", i, err)
+		}
+	}
+	for w := 0; w < min(max(workers, 1), len(placements)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ev, err := p.Get()
-			if err != nil {
-				errOnce.Do(func() { firstE = err })
-				return
-			}
-			defer p.Put(ev)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(placements) {
-					return
+			var ev *Evaluator
+			defer func() { p.Put(ev) }()
+			for i := claim(); i >= 0; i = claim() {
+				var err error
+				if ev == nil {
+					ev, err = p.Get()
 				}
-				r, err := ev.Evaluate(placements[i])
+				if err == nil {
+					out[i], err = evaluate(ev, placements[i])
+				}
 				if err != nil {
-					errOnce.Do(func() { firstE = err })
+					fail(i, err)
 					return
 				}
-				out[i] = r
 			}
 		}()
 	}
 	wg.Wait()
-	if firstE != nil {
-		return nil, firstE
+	if failErr != nil {
+		return nil, failErr
 	}
 	return out, nil
+}
+
+// evaluate replays one placement, turning a panic inside the replay
+// into an error; the evaluator is closed, so Put discards it.
+func evaluate(ev *Evaluator, places []transport.Endpoint) (r *ReplayResult, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			ev.Close()
+			r, err = nil, fmt.Errorf("panic: %v", v)
+		}
+	}()
+	return ev.Evaluate(places)
 }
 
 // Stats reports how many evaluators the pool built and how many

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"errors"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -240,5 +242,112 @@ func TestEvaluatorPoolClosedRetry(t *testing.T) {
 		if err != nil {
 			t.Errorf("worker %d under concurrent close: %v", w, err)
 		}
+	}
+}
+
+// TestEvaluateManyMatchesSerialReplays pins the batch contract:
+// EvaluateMany over more placements than workers returns, at every
+// worker count, exactly the results a serial loop of fresh Replay calls
+// produces, in placement order.
+func TestEvaluateManyMatchesSerialReplays(t *testing.T) {
+	fab := fabric.NewScaled(1)
+	tr := meshTrace(t, 16, 96*units.KB)
+	placements := append(evalPlacements(fab, 16), evalPlacements(fab, 16)...)
+	placements = append(placements, evalPlacements(fab, 16)...)
+	cfg := ReplayConfig{Fabric: fab, Profile: ib.OpenMPI(),
+		Policy: transport.Congested(), Observe: ObserveAll}
+
+	want := make([]*ReplayResult, len(placements))
+	for i, places := range placements {
+		one := cfg
+		one.Places = places
+		r, err := Replay(tr, one)
+		if err != nil {
+			t.Fatalf("fresh replay %d: %v", i, err)
+		}
+		want[i] = r
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		pool, err := NewEvaluatorPool(tr, cfg, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := pool.EvaluateMany(placements, workers)
+		pool.Close()
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i := range want {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("workers=%d placement %d: batch result differs from fresh replay\n  batch: %+v\n  fresh: %+v",
+					workers, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestEvaluateManyFailures covers the batch error paths: an invalid
+// placement, a panic inside a walker and a stalled walker each come back
+// as an error naming the lowest failed placement, the same at every
+// worker count, and neither the panic nor the stall reaches the test
+// process.
+func TestEvaluateManyFailures(t *testing.T) {
+	fab := fabric.NewScaled(1)
+	tr := meshTrace(t, 4, units.KB)
+	cfg := ReplayConfig{Fabric: fab, Profile: ib.OpenMPI(), Policy: transport.Congested()}
+	good := evalPlacements(fab, 4)[0]
+	bad := evalPlacements(fab, 4)[0]
+	bad[0].Core = 7
+	// All four ranks on one node: every send is intra-node and never
+	// looks up an inter-node route.
+	oneNode := evalPlacements(fab, 4)[2]
+
+	for _, workers := range []int{1, 2, 4, 8} {
+		pool, err := NewEvaluatorPool(tr, cfg, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// tamper fills the pool with evaluators broken by f, one for
+		// every worker that checks one out.
+		tamper := func(f func(*Evaluator)) {
+			pool.mu.Lock()
+			defer pool.mu.Unlock()
+			for len(pool.free) < 8 {
+				ev, err := NewEvaluator(tr, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pool.free = append(pool.free, ev)
+			}
+			for _, ev := range pool.free {
+				f(ev)
+			}
+		}
+
+		_, err = pool.EvaluateMany([][]transport.Endpoint{good, good, bad, good, bad}, workers)
+		if err == nil || !strings.HasPrefix(err.Error(), "trace: replay placement 2: ") ||
+			!strings.Contains(err.Error(), "core 7") {
+			t.Errorf("workers=%d: bad core: error %v, want placement 2's", workers, err)
+		}
+
+		// An empty rank-pair route table: the first inter-node send
+		// indexes past it and panics inside the walker.
+		tamper(func(ev *Evaluator) { ev.pairs = []*transport.PairPath{} })
+		_, err = pool.EvaluateMany([][]transport.Endpoint{oneNode, good, oneNode, good}, workers)
+		if err == nil || !strings.HasPrefix(err.Error(), "trace: replay placement 1: panic: ") {
+			t.Errorf("workers=%d: walker panic: error %v, want placement 1's panic", workers, err)
+		}
+
+		// A recv no send matches at the end of rank 0's stream: the
+		// walker blocks for good and the calendar drains.
+		tamper(func(ev *Evaluator) {
+			w := &ev.walkers[0]
+			w.stream = append(w.stream[:len(w.stream):len(w.stream)], replayOp{op: opRecv, peer: 1, tag: -1})
+		})
+		_, err = pool.EvaluateMany([][]transport.Endpoint{good, oneNode}, workers)
+		if want := "trace: replay placement 0: trace: replay " + tr.Meta.Name + ": 3 of 4 ranks completed"; err == nil || err.Error() != want {
+			t.Errorf("workers=%d: stalled walker: error %v, want %q", workers, err, want)
+		}
+		pool.Close()
 	}
 }

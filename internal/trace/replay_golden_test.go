@@ -16,7 +16,7 @@ import (
 
 // replayGoldenPath pins the replay's absolute outputs on the 64-rank
 // bench capture. The relative pins (Evaluator ≡ fresh Replay,
-// ReplayMany ≡ serial) follow any change to the rank walker on both
+// EvaluateMany ≡ serial) follow any change to the rank walker on both
 // sides; this file does not.
 const replayGoldenPath = "testdata/replay_golden.txt"
 
@@ -74,7 +74,7 @@ func writeGolden(w *bytes.Buffer, label string, r *trace.ReplayResult) {
 // over four placements, on one pooled Evaluator per configuration (so
 // the first placement runs the construction path and the rest the
 // reset path), and compares the rendering with the checked-in file.
-// ReplayMany at two workers must render the same bytes. Rerun with
+// EvaluateMany at two workers must render the same bytes. Rerun with
 // -update only when a change to the simulated model is intended.
 func TestGoldenReplayOutputs(t *testing.T) {
 	tr, err := benchOnce()
@@ -110,16 +110,21 @@ func TestGoldenReplayOutputs(t *testing.T) {
 				writeGolden(&pooled, label+" "+names[k], r)
 			}
 			ev.Close()
-			many, _, _, err := trace.ReplayMany(tr, cfg, placements, 2)
+			pool, err := trace.NewEvaluatorPool(tr, cfg, 2)
 			if err != nil {
-				t.Fatalf("%s: ReplayMany: %v", label, err)
+				t.Fatal(err)
+			}
+			many, err := pool.EvaluateMany(placements, 2)
+			pool.Close()
+			if err != nil {
+				t.Fatalf("%s: EvaluateMany: %v", label, err)
 			}
 			var batch bytes.Buffer
 			for k, r := range many {
 				writeGolden(&batch, label+" "+names[k], r)
 			}
 			if !bytes.Equal(pooled.Bytes(), batch.Bytes()) {
-				t.Errorf("%s: ReplayMany renders differently from the pooled Evaluator", label)
+				t.Errorf("%s: EvaluateMany renders differently from the pooled Evaluator", label)
 			}
 			got.Write(pooled.Bytes())
 		}

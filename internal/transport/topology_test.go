@@ -20,99 +20,6 @@ func topoSystem(t *testing.T, name string, cus int) *fabric.System {
 	return s
 }
 
-// TestCrossDomainLookaheadDerivedPerTopology pins the satellite fix:
-// the conservative window floor comes from the topology's minimum
-// cross-CU route, not a hard-coded fat-tree constant. The fat-tree
-// family keeps the legacy 3-crossbar floor; the torus — whose CU-major
-// numbering puts neighboring routers in different CUs — gets a smaller
-// (2-router) floor, which the old constant would have overstated,
-// silently corrupting windowed runs.
-func TestCrossDomainLookaheadDerivedPerTopology(t *testing.T) {
-	prof := ib.OpenMPI()
-	legacy := prof.PerSideOverhead + 3*prof.HopLatency
-	for _, name := range fabric.Topologies() {
-		fab := topoSystem(t, name, 2)
-		got := CrossDomainLookahead(fab, prof)
-		want := prof.PerSideOverhead + units.Time(fab.MinCrossDomainRoute())*prof.HopLatency
-		if got != want {
-			t.Errorf("%s: lookahead %v, want %v", name, got, want)
-		}
-		switch name {
-		case "torus":
-			if got >= legacy {
-				t.Errorf("torus: lookahead %v not below the fat-tree constant %v", got, legacy)
-			}
-		default:
-			if got != legacy {
-				t.Errorf("%s: lookahead %v differs from the fat-tree floor %v", name, got, legacy)
-			}
-		}
-	}
-}
-
-// minCrossCUPair returns the cross-CU pair with the fewest hops on a
-// 2-CU system (exhaustive scan), the worst case for the lookahead.
-func minCrossCUPair(fab *fabric.System) (a, b fabric.NodeID, hops int) {
-	hops = -1
-	for i := 0; i < params.NodesPerCU; i++ {
-		for j := 0; j < params.NodesPerCU; j++ {
-			na, nb := fabric.NodeID{CU: 0, Node: i}, fabric.NodeID{CU: 1, Node: j}
-			if h := fab.Hops(na, nb); hops < 0 || h < hops {
-				a, b, hops = na, nb, h
-			}
-		}
-	}
-	return a, b, hops
-}
-
-// TestLookaheadSafePerTopology is the per-topology lookahead-violation
-// test: (1) the fastest cross-CU transfer the transport can generate
-// delivers no earlier than the derived lookahead, so windows computed
-// from it are safe; (2) a windowed sim.Cluster accepts a send at
-// exactly the derived lookahead and panics with *LookaheadViolation
-// one tick below it — the floor is tight, not slack.
-func TestLookaheadSafePerTopology(t *testing.T) {
-	prof := ib.OpenMPI()
-	for _, name := range fabric.Topologies() {
-		fab := topoSystem(t, name, 2)
-		la := CrossDomainLookahead(fab, prof)
-		src, dst, hops := minCrossCUPair(fab)
-
-		// The fastest cross-domain influence: a zero-byte transfer on
-		// the minimum route. Its delivery fires after send-side
-		// overhead + fabric latency + receive-side overhead, which must
-		// not undercut the lookahead.
-		eng := sim.NewEngine()
-		var delivered units.Time
-		net := New(eng, fab, prof, Policy{})
-		eng.Spawn("probe", func(p *sim.Proc) {
-			net.Transfer(p, Endpoint{Node: src, Core: 1}, Endpoint{Node: dst, Core: 1}, 0,
-				func() { delivered = eng.Now() })
-		})
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		eng.Close()
-		if delivered < la {
-			t.Errorf("%s: %d-hop transfer delivered at %v, under lookahead %v — unsafe window",
-				name, hops, delivered, la)
-		}
-
-		// The cluster enforces the same floor: at the lookahead the send
-		// is accepted, below it the violation panics.
-		c := sim.NewCluster(2, la)
-		c.Send(0, 1, la, func() {})
-		func() {
-			defer func() {
-				if _, ok := recover().(*sim.LookaheadViolation); !ok {
-					t.Errorf("%s: no LookaheadViolation for delay below the %v floor", name, la)
-				}
-			}()
-			c.Send(0, 1, la-1, func() {})
-		}()
-	}
-}
-
 // TestRouteCacheSizedByTopology pins the satellite fix for the dense
 // route cache: rows and keys come from the topology interface. The
 // torus keys per node (its routers are per-node), so a source whose

@@ -59,20 +59,6 @@ type Policy struct {
 	Channels int
 }
 
-// CrossDomainLookahead returns the conservative-PDES lookahead the
-// fabric topology guarantees between CU domains: any cross-CU
-// interaction pays at least one MPI/HCA per-side overhead plus the
-// topology's minimum cross-CU route of cable latency before it can
-// influence another domain (fabric.System.MinCrossDomainRoute — three
-// crossbars on the fat-tree family per Table I, two routers on the
-// torus). sim.Cluster windows computed from this floor are safe for
-// any traffic the transport can generate on that fabric; an earlier
-// version hard-coded the fat-tree's 3 crossbars, which would have
-// over-promised the window on any shorter-diameter topology.
-func CrossDomainLookahead(fab *fabric.System, prof ib.Profile) units.Time {
-	return prof.PerSideOverhead + units.Time(fab.MinCrossDomainRoute())*prof.HopLatency
-}
-
 // Congested returns the default congestion policy: every cable a single
 // wormhole channel per direction.
 func Congested() Policy { return Policy{Enabled: true, Channels: 1} }
