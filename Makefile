@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint test perfbench-check bench bench-full bench-artifact bench-baseline bench-compare pdes-smoke trace-smoke topo-smoke serve-smoke sched-smoke surrogate-smoke docs docs-check suite clean
+.PHONY: all build lint test perfbench-check bench bench-full bench-artifact bench-baseline bench-compare pdes-smoke trace-smoke topo-smoke serve-smoke surrogate-smoke docs docs-check suite clean
 
 all: lint build test
 
@@ -151,13 +151,6 @@ surrogate-smoke:
 	$(GO) run ./cmd/rrtrace optimize -i /tmp/surrogate.trace.jsonl -seed 1 \
 		-surrogate -screen-factor 4 -anchors 12 \
 		-greedy-rounds 2 -greedy-batch 6 -anneal-rounds 2 -anneal-batch 6 -mapping 4
-
-# The rrsched facility-simulator smoke CI runs (mirrored here): a
-# model-only mix, the trace-pricing path, and the full sweep.
-sched-smoke:
-	$(GO) run ./cmd/rrsched run -policy fcfs -alloc scattered -jobs 16 -trace=false -jsonl /tmp/rrsched-run.jsonl
-	$(GO) run ./cmd/rrsched run -policy easy -alloc assisted -jobs 24 -gantt
-	$(GO) run ./cmd/rrsched sweep -jsonl /tmp/rrsched-sweep.jsonl
 
 # Regenerate the generated documentation (docs/experiments.md) and
 # check it is current — CI fails when it is stale.

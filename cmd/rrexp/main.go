@@ -53,16 +53,10 @@ func run() int {
 	jsonl := flag.String("jsonl", "", "stream one JSON line per result to this file ('-' = stdout)")
 	csvDir := flag.String("csv", "", "directory to write CSV artifacts into")
 	quiet := flag.Bool("quiet", false, "print only the per-experiment summaries")
-	pdes := flag.String("pdes", "auto",
-		"workers for independent runs inside experiments: off (one), auto (GOMAXPROCS) or a worker count; results are identical at any setting")
 	topology := flag.String("topology", "",
 		"fabric topology the scenario sweeps run on (see rrsim -topology); non-default runs are what-if sweeps, so paper-vs-measured checks may fail by design")
 	flag.Parse()
-	if err := scenario.ApplyPDESFlag(*pdes); err != nil {
-		fmt.Fprintf(os.Stderr, "rrexp: %v\n", err)
-		return 2
-	}
-	if err := scenario.ApplyTopologyFlag(*topology); err != nil {
+	if err := scenario.SetTopology(*topology); err != nil {
 		fmt.Fprintf(os.Stderr, "rrexp: %v\n", err)
 		return 2
 	}

@@ -31,6 +31,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -41,27 +42,33 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
-	if len(os.Args) < 2 {
+// run executes one rrsched invocation (args without the program name)
+// and returns its exit status.
+func run(args []string) int {
+	if len(args) < 1 {
 		usage()
 		return 2
 	}
-	switch os.Args[1] {
+	switch args[0] {
 	case "run":
-		return runMix(os.Args[2:])
+		return runMix(args[1:])
 	case "sweep":
-		return runSweep(os.Args[2:])
+		return runSweep(args[1:])
 	case "-h", "-help", "--help", "help":
 		usage()
 		return 0
 	}
-	fmt.Fprintf(os.Stderr, "rrsched: unknown subcommand %q\n\n", os.Args[1])
+	fmt.Fprintf(os.Stderr, "rrsched: unknown subcommand %q\n\n", args[0])
 	usage()
 	return 2
 }
+
+// maxWidth bounds the chart width: the charts hold a row of width
+// bytes per job and per strip.
+const maxWidth = 1000
 
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
@@ -85,11 +92,28 @@ func runMix(args []string) int {
 	meanArrival := fs.Float64("mean-arrival", 0, "mean interarrival in seconds (0 keeps the canonical mix's 90)")
 	withTrace := fs.Bool("trace", true, "include trace-replay jobs (capture + replay pricing)")
 	gantt := fs.Bool("gantt", false, "print the per-job timeline")
-	width := fs.Int("width", 72, "chart width in columns")
+	width := fs.Int("width", 72, fmt.Sprintf("chart width in columns (at most %d)", maxWidth))
 	jsonl := fs.String("jsonl", "", "dump one JSON line per job plus the summary to FILE")
 	fs.Parse(args)
 	if fs.NArg() != 0 {
 		fmt.Fprintf(os.Stderr, "rrsched run: unexpected arguments %v\n", fs.Args())
+		return 2
+	}
+	if _, err := facility.NewPolicy(*policy); err != nil {
+		fmt.Fprintf(os.Stderr, "rrsched run: %v\n", err)
+		return 2
+	}
+	if _, err := facility.NewAllocator(*alloc, 0); err != nil {
+		fmt.Fprintf(os.Stderr, "rrsched run: %v\n", err)
+		return 2
+	}
+	if *width > maxWidth {
+		fmt.Fprintf(os.Stderr, "rrsched run: -width %d above the maximum %d\n", *width, maxWidth)
+		return 2
+	}
+	if *meanArrival*float64(units.Second) >= math.MaxInt64 {
+		fmt.Fprintf(os.Stderr, "rrsched run: -mean-arrival %gs does not fit the simulated clock (%v)\n",
+			*meanArrival, units.Time(math.MaxInt64))
 		return 2
 	}
 

@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"roadrunner"
-	"roadrunner/internal/scenario"
 	"roadrunner/internal/serve"
 )
 
@@ -51,16 +50,10 @@ func run() int {
 	maxBody := flag.Int64("max-body", 0, "request body bound in bytes (0 = 64 MB)")
 	poolTraces := flag.Int("pool-traces", 0, "warm evaluator pools to retain (0 = 8)")
 	cacheDir := flag.String("cache-dir", defaultCacheDir(), "artifact cache location ('' disables the persistent cache)")
-	pdes := flag.String("pdes", "auto",
-		"workers for independent runs inside scenario jobs: off (one), auto (GOMAXPROCS) or a worker count; results are identical at any setting")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "rrserve: unexpected arguments %v\n", flag.Args())
 		flag.Usage()
-		return 2
-	}
-	if err := scenario.ApplyPDESFlag(*pdes); err != nil {
-		fmt.Fprintf(os.Stderr, "rrserve: %v\n", err)
 		return 2
 	}
 

@@ -10,7 +10,7 @@
 //	rrsim -chip                 # SPU pipeline microbenchmarks
 //	rrsim -memory               # Table III memory characterisation
 //	rrsim -des                  # Sweep3D on the DES machine + engine stats
-//	                            # (more than one -pdes worker: + placement replays)
+//	                            # + its schedule replayed under three placements
 //	rrsim -collective allreduce-ring -ranks 64 -msg 1048576
 //	                            # one collective on the DES + engine stats
 //	rrsim -collective list      # the implemented algorithms
@@ -28,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"time"
 
 	"roadrunner"
@@ -63,21 +64,13 @@ func run(args []string) int {
 	congestion := fs.String("congestion", "on",
 		"link congestion for -collective: on routes messages over the cable topology with finite-capacity channels; off reproduces the infinite-capacity fabric")
 	toplinks := fs.Int("toplinks", 5, "contended links to print after a congested -collective run (the census keeps the 10 hottest)")
-	pdes := fs.String("pdes", "auto",
-		"workers for independent runs (the -des placement replays): off (one), auto (GOMAXPROCS) or a worker count; results are identical at any setting")
 	topology := fs.String("topology", "",
-		"fabric topology for -hops/-census/-audit/-collective (see fabric.Topologies; default: the paper's tapered fat-tree)")
+		"fabric topology for node-pair queries, -census, -audit, -collective and -des (see fabric.Topologies; default: the paper's tapered fat-tree)")
 	fs.Parse(args)
-	if err := scenario.ApplyPDESFlag(*pdes); err != nil {
-		fmt.Fprintf(os.Stderr, "rrsim: %v\n", err)
-		return 2
+	if *topology == "" {
+		*topology = fabric.DefaultTopology
 	}
-	if err := scenario.ApplyTopologyFlag(*topology); err != nil {
-		fmt.Fprintf(os.Stderr, "rrsim: %v\n", err)
-		return 2
-	}
-
-	fab, err := fabric.NewTopology(scenario.TopologyName())
+	fab, err := fabric.NewTopology(*topology)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rrsim: %v\n", err)
 		return 2
@@ -156,11 +149,9 @@ func run(args []string) int {
 		fmt.Printf("engine: %d events dispatched, calendar peak %d, %.0f events/s host\n",
 			st.Dispatched, st.CalendarPeak,
 			float64(st.Dispatched)/wall.Seconds())
-		if workers := scenario.ParallelWorkers(); workers > 1 {
-			if err := placementReplays(px, py, workers); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 2
-			}
+		if err := placementReplays(fab, px, py); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 2
 		}
 	}
 	if *coll != "" {
@@ -184,7 +175,7 @@ func run(args []string) int {
 			runColl = roadrunner.RunCollectiveOn
 		}
 		start := time.Now()
-		res, err := runColl(scenario.TopologyName(), roadrunner.CollectiveOp(*coll), *ranks, units.Size(*msg))
+		res, err := runColl(*topology, roadrunner.CollectiveOp(*coll), *ranks, units.Size(*msg))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 2
@@ -224,15 +215,11 @@ func run(args []string) int {
 // placementReplays reruns the -des Sweep3D model as independent
 // placement replays: the run's wavefront schedule is captured as a
 // trace and replayed under the three standard placements on the
-// congested fabric, spread over the -pdes workers. The results are
+// congested fabric, spread over GOMAXPROCS workers. The results are
 // byte-identical to serial replays of the same placements.
-func placementReplays(px, py, workers int) error {
+func placementReplays(fab *fabric.System, px, py int) error {
 	cfg := sweep3d.Config{I: 5, J: 5, K: 40, MK: 10, Angles: 6}
 	_, tr, err := sweep3d.CaptureDES(cfg, px, py, cml.CurrentSoftware())
-	if err != nil {
-		return err
-	}
-	fab, err := fabric.NewTopology(scenario.TopologyName())
 	if err != nil {
 		return err
 	}
@@ -245,6 +232,7 @@ func placementReplays(px, py, workers int) error {
 		placements[i] = p
 	}
 	start := time.Now()
+	workers := runtime.GOMAXPROCS(0)
 	pool, err := trace.NewEvaluatorPool(tr, trace.ReplayConfig{
 		Fabric:  fab,
 		Profile: ib.OpenMPI(),

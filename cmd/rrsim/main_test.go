@@ -3,6 +3,7 @@ package main
 import (
 	"io"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -46,10 +47,11 @@ func TestHopQueryRejectsNodesOutsideFabric(t *testing.T) {
 	}
 }
 
-// TestDESPlacementReplays drives -des with more than one worker, which
-// adds the independent placement replays of the captured schedule.
+// TestDESPlacementReplays drives -des, which adds the independent
+// placement replays of the captured schedule on GOMAXPROCS workers.
 func TestDESPlacementReplays(t *testing.T) {
-	code, stdout, stderr := runCLI(t, "-des", "-ranks", "16", "-pdes", "2")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	code, stdout, stderr := runCLI(t, "-des", "-ranks", "16")
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, stderr)
 	}
@@ -57,5 +59,18 @@ func TestDESPlacementReplays(t *testing.T) {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("output lacks %q:\n%s", want, stdout)
 		}
+	}
+}
+
+// TestDESFollowsTopology: the -des replays run on the -topology fabric,
+// and an unknown topology exits 2 with one stderr line.
+func TestDESFollowsTopology(t *testing.T) {
+	if code, stdout, stderr := runCLI(t, "-topology", "torus", "-des", "-ranks", "16"); code != 0 ||
+		!strings.Contains(stdout, "placement replays: 3 on ") {
+		t.Errorf("-topology torus -des: exit %d, stdout %q, stderr %q", code, stdout, stderr)
+	}
+	if code, stdout, stderr := runCLI(t, "-topology", "bogus", "-des"); code != 2 || stdout != "" ||
+		strings.Count(stderr, "\n") != 1 {
+		t.Errorf("-topology bogus: exit %d, stdout %q, stderr %q; want exit 2 and one stderr line", code, stdout, stderr)
 	}
 }

@@ -40,6 +40,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"time"
 
@@ -48,7 +49,6 @@ import (
 	"roadrunner/internal/fabric"
 	"roadrunner/internal/ib"
 	"roadrunner/internal/placement"
-	"roadrunner/internal/scenario"
 	"roadrunner/internal/sweep3d"
 	"roadrunner/internal/trace"
 	"roadrunner/internal/transport"
@@ -88,7 +88,7 @@ func usage() {
   rrtrace capture [-px N -py N -i/-j/-k/-mk/-angles N] -o FILE
   rrtrace inspect -i FILE | inspect -spec
   rrtrace replay -i FILE [-placement block|strided|packed|all] [-stride N]
-                 [-per-node N] [-core N] [-congestion on|off] [-pdes off|auto|N]
+                 [-per-node N] [-core N] [-congestion on|off]
                  [-skip-compute] [-toplinks N] [-messages N] [-topology NAME]
   rrtrace optimize -i FILE [-seed N] [-workers N] [-congestion on|off]
                  [-full-schedule] [-greedy-rounds N] [-greedy-batch N]
@@ -390,8 +390,6 @@ func replay(args []string) int {
 	stride := fs.Int("stride", 180, "node stride for -placement strided")
 	perNode := fs.Int("per-node", 4, "ranks per node for -placement packed")
 	core := fs.Int("core", 1, "issuing Opteron core for block/strided placements")
-	pdes := fs.String("pdes", "auto",
-		"workers for independent runs (-placement all): off (one), auto (GOMAXPROCS) or a worker count; results are identical at any setting")
 	congestion := fs.String("congestion", "on",
 		"link congestion: on holds wormhole channels on every routed cable; off is the infinite-capacity fabric")
 	skipCompute := fs.Bool("skip-compute", false, "strip compute records: replay the bare communication schedule")
@@ -411,10 +409,6 @@ func replay(args []string) int {
 	switch *placementName {
 	case "block", "strided", "packed":
 	case "all":
-		if err := scenario.ApplyPDESFlag(*pdes); err != nil {
-			fmt.Fprintf(os.Stderr, "rrtrace replay: %v\n", err)
-			return 2
-		}
 		names = placementNames
 	default:
 		fmt.Fprintf(os.Stderr, "rrtrace replay: unknown placement %q\n", *placementName)
@@ -487,19 +481,18 @@ func replay(args []string) int {
 }
 
 // replayAll replays the trace under every named placement as
-// independent runs on a pooled evaluator per -pdes worker, with
-// results byte-identical to serial replays of the same placements.
+// independent runs on GOMAXPROCS pooled evaluators, with results
+// byte-identical to serial replays of the same placements.
 func replayAll(tr *trace.Trace, cfg trace.ReplayConfig, names []string,
 	placements [][]transport.Endpoint, congestion string) int {
-	workers := scenario.ParallelWorkers()
 	start := time.Now()
-	pool, err := trace.NewEvaluatorPool(tr, cfg, workers)
+	pool, err := trace.NewEvaluatorPool(tr, cfg, runtime.GOMAXPROCS(0))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
 	defer pool.Close()
-	results, err := pool.EvaluateMany(placements, workers)
+	results, err := pool.EvaluateMany(placements, 0)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1

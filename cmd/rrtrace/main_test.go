@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -95,20 +96,21 @@ func TestBadFlagValuesExit2(t *testing.T) {
 // and each makespan equals that placement's single replay.
 func TestReplayAllMatchesSingleReplays(t *testing.T) {
 	tr := smallTrace(t)
-	lines := func(pdes string) []string {
-		code, stdout, stderr := runCLI(t, "replay", "-i", tr, "-placement", "all", "-pdes", pdes)
+	lines := func(procs int) []string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		code, stdout, stderr := runCLI(t, "replay", "-i", tr, "-placement", "all")
 		if code != 0 {
-			t.Fatalf("-pdes %s: exit %d: %s", pdes, code, stderr)
+			t.Fatalf("GOMAXPROCS=%d: exit %d: %s", procs, code, stderr)
 		}
 		out := strings.Split(strings.TrimSpace(stdout), "\n")
 		if !strings.Contains(out[0], "wall clock") {
-			t.Fatalf("-pdes %s: first line %q is not the wall-clock line", pdes, out[0])
+			t.Fatalf("GOMAXPROCS=%d: first line %q is not the wall-clock line", procs, out[0])
 		}
 		return out[1:]
 	}
-	serial, parallel := lines("off"), lines("2")
+	serial, parallel := lines(1), lines(2)
 	if strings.Join(serial, "\n") != strings.Join(parallel, "\n") {
-		t.Errorf("per-placement lines differ:\n-pdes off:\n%s\n-pdes 2:\n%s",
+		t.Errorf("per-placement lines differ:\nGOMAXPROCS=1:\n%s\nGOMAXPROCS=2:\n%s",
 			strings.Join(serial, "\n"), strings.Join(parallel, "\n"))
 	}
 	batch := regexp.MustCompile(`^  (\w+)\s+(\S+) simulated, .* events$`)

@@ -26,9 +26,8 @@ package collectives
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
+	"roadrunner/internal/batch"
 	"roadrunner/internal/fabric"
 	"roadrunner/internal/ib"
 	"roadrunner/internal/params"
@@ -428,18 +427,15 @@ type Request struct {
 
 // RunMany executes independent collective runs concurrently and
 // returns their Results in request order. It validates every request
-// first; then up to workers goroutines (workers < 1 uses GOMAXPROCS)
-// each claim the next request in index order and Run it on a fresh
-// engine, so at most workers runs hold simulation state at once. Runs
-// share no state, so every Result is byte-identical to Run's for the
-// same request at any worker count.
+// first, then runs them on batch.Run (workers < 1 uses GOMAXPROCS), each
+// on a fresh engine, so at most workers runs hold simulation state at
+// once. Runs share no state, so every Result is byte-identical to Run's
+// for the same request at any worker count.
 //
 // A failed run — an error, a deadlock, or a panic inside the run, which
 // comes back as an error instead of crashing the process — stops the
-// batch: no request starts after it, and the error returned is the one
-// of the lowest-index failed request, the same at every worker count
-// (claims run in index order, so every request below a failure was
-// already claimed and runs to the end).
+// batch, and the error returned is the one of the lowest-index failed
+// request, the same at every worker count.
 func RunMany(reqs []Request, workers int) ([]*Result, error) {
 	if len(reqs) == 0 {
 		return nil, fmt.Errorf("collectives: no requests")
@@ -449,63 +445,14 @@ func RunMany(reqs []Request, workers int) ([]*Result, error) {
 			return nil, fmt.Errorf("collectives: request %d: %w", i, err)
 		}
 	}
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	results := make([]*Result, len(reqs))
-	var (
-		mu      sync.Mutex
-		next    int
-		failed  int
-		failErr error
-		wg      sync.WaitGroup
-	)
-	claim := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		if next == len(reqs) || failErr != nil {
-			return -1
-		}
-		next++
-		return next - 1
-	}
-	fail := func(i int, err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if failErr == nil || i < failed {
-			failed, failErr = i, fmt.Errorf("collectives: request %d: %w", i, err)
-		}
-	}
-	for w := 0; w < min(workers, len(reqs)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := claim(); i >= 0; i = claim() {
-				res, err := runRecovered(reqs[i])
-				if err != nil {
-					fail(i, err)
-					return
-				}
-				results[i] = res
-			}
-		}()
-	}
-	wg.Wait()
-	if failErr != nil {
-		return nil, failErr
+	if i, err := batch.Run(len(reqs), workers, func(_, i int) (err error) {
+		results[i], err = Run(reqs[i].Cfg, reqs[i].Op, reqs[i].Size)
+		return err
+	}); err != nil {
+		return nil, fmt.Errorf("collectives: request %d: %w", i, err)
 	}
 	return results, nil
-}
-
-// runRecovered runs one request, turning a panic inside the run into an
-// error; Run's deferred Close has torn the engine down by then.
-func runRecovered(rq Request) (res *Result, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			res, err = nil, fmt.Errorf("panic: %v", v)
-		}
-	}()
-	return Run(rq.Cfg, rq.Op, rq.Size)
 }
 
 // censusTop is how many contended links a Result's census retains.

@@ -2,6 +2,7 @@ package facility
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"roadrunner/internal/fabric"
@@ -311,6 +312,33 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := Run(Config{Policy: FCFS{}}, nil); err == nil {
 		t.Error("nil allocator accepted")
+	}
+}
+
+// TestClockEnd: a stream or a schedule that would pass the end of the
+// int64-picosecond clock (~9.22e6 s) fails with an error instead of
+// wrapping to negative times and panicking.
+func TestClockEnd(t *testing.T) {
+	w := testWorkload(1, 48)
+	w.MeanInterarrival = 1e6 * units.Second
+	if _, err := w.Generate(nil); err == nil || !strings.Contains(err.Error(), "after the simulated clock ends") {
+		t.Errorf("arrivals past the clock: error %v", err)
+	}
+	// The gap drawn after the last job is never used, so it may not fail.
+	w.Jobs = 1
+	if _, err := w.Generate(nil); err != nil {
+		t.Errorf("one job: %v", err)
+	}
+
+	// Two whole-machine jobs of 5e6 s each: the second would start at
+	// 5e6 s and finish past the clock's end.
+	cfg := Config{CUs: 1, PerCU: 4, Policy: FCFS{}, Alloc: Contiguous{}}
+	jobs := []Job{{ID: 0, Nodes: 4, Runtime: 5e6 * units.Second}, {ID: 1, Nodes: 4, Runtime: 5e6 * units.Second}}
+	if _, err := Run(cfg, jobs); err == nil || !strings.Contains(err.Error(), "job 1 started at 5e+06s would finish after") {
+		t.Errorf("finish past the clock: error %v", err)
+	}
+	if _, err := Run(cfg, jobs[:1]); err != nil {
+		t.Errorf("one job: %v", err)
 	}
 }
 

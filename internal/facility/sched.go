@@ -414,6 +414,10 @@ func (s *simulator) tryStart(i int) bool {
 		return false
 	}
 	actual, err := s.actualRuntime(j, grant)
+	if err == nil && actual > units.Time(math.MaxInt64)-s.now {
+		err = fmt.Errorf("facility: job %d started at %v would finish after the simulated clock ends at %v",
+			j.Job.ID, s.now, units.Time(math.MaxInt64))
+	}
 	if err != nil {
 		// Roll back so the run fails cleanly instead of leaking nodes.
 		if rerr := s.m.Release(grant); rerr != nil {

@@ -162,7 +162,13 @@ func (w Workload) Generate(rt *TraceRuntime) ([]Job, error) {
 				w.Name, id, j.Class, j.Nodes, j.Runtime)
 		}
 		jobs = append(jobs, j)
-		now += units.Time(math.Round(rng.ExpFloat64() * float64(w.MeanInterarrival)))
+		gap := math.Round(rng.ExpFloat64() * float64(w.MeanInterarrival))
+		next := now + units.Time(gap)
+		if id+1 < w.Jobs && (gap >= math.MaxInt64 || next < now) {
+			return nil, fmt.Errorf("facility: workload %q: job %d would arrive after the simulated clock ends at %v",
+				w.Name, id+1, units.Time(math.MaxInt64))
+		}
+		now = next
 	}
 	return jobs, nil
 }

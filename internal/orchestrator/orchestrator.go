@@ -1,5 +1,5 @@
 // Package orchestrator runs the registered experiment suite as a parallel
-// sweep: a GOMAXPROCS-sized worker pool executes experiments concurrently,
+// sweep: batch.Run spreads the experiments over GOMAXPROCS goroutines,
 // one deterministic DES engine per experiment, with context cancellation,
 // per-experiment timeouts, a content-addressed artifact cache keyed by the
 // model-input fingerprint, and streaming structured results.
@@ -16,10 +16,10 @@ package orchestrator
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
+	"roadrunner/internal/batch"
 	"roadrunner/internal/experiments"
 )
 
@@ -65,49 +65,34 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// Run executes the given experiments through the worker pool and returns
-// their results in input order — the deterministic order every consumer
-// (CLI, tests, CI) sees regardless of scheduling. The returned error is
-// non-nil only when ctx was cancelled; per-experiment failures are
-// reported on the individual results.
+// Run executes the given experiments on batch.Run and returns their
+// results in input order — the deterministic order every consumer
+// (CLI, tests, CI) sees regardless of scheduling. Every experiment runs:
+// the returned error is non-nil only when ctx was cancelled, and
+// per-experiment failures are reported on the individual results. A
+// panic inside Options.OnResult is re-raised on the caller's goroutine
+// once the running experiments return.
 func Run(ctx context.Context, exps []experiments.Experiment, opts Options) ([]*Result, error) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(exps) && len(exps) > 0 {
-		workers = len(exps)
-	}
-
 	results := make([]*Result, len(exps))
-	jobs := make(chan int)
 	var (
 		emit    sync.Mutex
 		emitted int // results[:emitted] went to OnResult
-		wg      sync.WaitGroup
 	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				r := runOne(ctx, exps[i], opts)
-				emit.Lock()
-				results[i] = r
-				for ; emitted < len(results) && results[emitted] != nil; emitted++ {
-					if opts.OnResult != nil {
-						opts.OnResult(results[emitted])
-					}
-				}
-				emit.Unlock()
+	if _, err := batch.Run(len(exps), opts.Workers, func(_, i int) error {
+		r := runOne(ctx, exps[i], opts)
+		emit.Lock()
+		defer emit.Unlock()
+		results[i] = r
+		for emitted < len(results) && results[emitted] != nil {
+			emitted++ // before the call: a result that panicked OnResult is not sent again
+			if opts.OnResult != nil {
+				opts.OnResult(results[emitted-1])
 			}
-		}()
+		}
+		return nil
+	}); err != nil {
+		panic(fmt.Sprintf("orchestrator: %v", err))
 	}
-	for i := range exps {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
 	return results, ctx.Err()
 }
 

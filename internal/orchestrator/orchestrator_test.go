@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -43,8 +44,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 	// The whole registry, Expensive experiments included: the congestion
 	// sweep spreads its independent runs across cores, so the double run
-	// is affordable everywhere (-pdes=off on the CLIs, or
-	// SetParallel(1), runs them one at a time).
+	// is affordable everywhere (GOMAXPROCS=1 runs them one at a time).
 	exps := experiments.All()
 	ctx := context.Background()
 	serial, err := Run(ctx, exps, Options{Workers: 1})
@@ -96,6 +96,40 @@ func TestOnResultInSuiteOrder(t *testing.T) {
 	}
 	if want := []string{"slow", "fast1", "fast2"}; !slices.Equal(got, want) {
 		t.Errorf("OnResult order %v, want %v", got, want)
+	}
+}
+
+// TestOnResultPanicReachesCaller: a panic inside OnResult is re-raised
+// on the caller's goroutine, at every worker count, instead of crashing
+// the process from a worker or returning a results slice with holes;
+// no result is passed to OnResult twice.
+func TestOnResultPanicReachesCaller(t *testing.T) {
+	exps := make([]experiments.Experiment, 6)
+	for i := range exps {
+		id := fmt.Sprintf("e%d", i)
+		exps[i] = experiments.Experiment{ID: id, Title: id, PaperRef: "test",
+			Run: func() *experiments.Artifact { return &experiments.Artifact{ID: id} }}
+	}
+	for _, workers := range []int{1, 2, 4} {
+		seen := map[string]int{}
+		v := func() (v any) {
+			defer func() { v = recover() }()
+			Run(context.Background(), exps, Options{Workers: workers, OnResult: func(r *Result) {
+				seen[r.ID]++
+				if r.ID == "e2" {
+					panic("stream broke")
+				}
+			}})
+			return nil
+		}()
+		if s, ok := v.(string); !ok || !strings.Contains(s, "panic: stream broke") {
+			t.Errorf("workers=%d: Run panicked with %v, want the OnResult panic", workers, v)
+		}
+		for id, n := range seen {
+			if n != 1 {
+				t.Errorf("workers=%d: OnResult saw %s %d times", workers, id, n)
+			}
+		}
 	}
 }
 

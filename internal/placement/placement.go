@@ -15,10 +15,12 @@
 // The search is deterministic and parallel at once: every candidate
 // mapping is generated on the coordinator from a seeded generator
 // (each annealing round proposes single moves of the round-start
-// incumbent), evaluated by a pool of per-worker evaluators (replay
-// results are a pure function of the mapping, so worker scheduling
-// cannot leak into the outcome), and Metropolis-accepted serially in
-// candidate order against the continuously updated incumbent.
+// incumbent), replayed in batches on a trace.EvaluatorPool and priced
+// on per-worker surrogate clones through batch.Run (replay results and
+// prices are pure functions of the mapping, so worker scheduling
+// cannot leak into the outcome; a panic in either tier comes back as
+// an error), and Metropolis-accepted serially in candidate order
+// against the continuously updated incumbent.
 // A run with Workers: 1 returns byte-identical results to a run with
 // Workers: N — pinned by TestOptimizeSerialMatchesParallel and by the
 // place-optimize experiment inside the orchestrator's own
@@ -41,10 +43,9 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"roadrunner/internal/batch"
 	"roadrunner/internal/fabric"
 	"roadrunner/internal/surrogate"
 	"roadrunner/internal/trace"
@@ -319,12 +320,12 @@ func Optimize(cfg Config) (*Result, error) {
 	rcfg := c.Replay
 	rcfg.Places = nil
 	rcfg.Observe = 0
-	pool, err := newEvalPool(c.Trace, rcfg, c.Workers)
+	pool, err := trace.NewEvaluatorPool(c.Trace, rcfg, c.Workers)
 	if err != nil {
 		return nil, err
 	}
 	defer pool.Close()
-	ev := &tiered{pool: pool}
+	ev := &tiered{pool: pool, workers: c.Workers}
 	defer ev.Close()
 
 	res := &Result{Ranks: ranks}
@@ -406,7 +407,10 @@ func Optimize(cfg Config) (*Result, error) {
 			swapMove(rng, m)
 			cands[i] = m
 		}
-		cands = ev.screen(cands, c.GreedyBatch)
+		cands, err := ev.screen(cands, c.GreedyBatch)
+		if err != nil {
+			return nil, err
+		}
 		times, err := ev.evalDES(cands)
 		if err != nil {
 			return nil, err
@@ -454,7 +458,10 @@ func Optimize(cfg Config) (*Result, error) {
 			}
 			cands[i] = m
 		}
-		cands = ev.screen(cands, c.AnnealBatch)
+		cands, err := ev.screen(cands, c.AnnealBatch)
+		if err != nil {
+			return nil, err
+		}
 		times, err := ev.evalDES(cands)
 		if err != nil {
 			return nil, err
@@ -540,79 +547,15 @@ func relocateMove(rng *rand.Rand, m []transport.Endpoint, poolNodes int, pool []
 	}
 }
 
-// evalPool evaluates candidate batches across per-worker evaluators.
-type evalPool struct {
-	evs []*trace.Evaluator
-}
-
-// newEvalPool builds workers evaluators over the same trace and config.
-func newEvalPool(t *trace.Trace, cfg trace.ReplayConfig, workers int) (*evalPool, error) {
-	p := &evalPool{}
-	for w := 0; w < workers; w++ {
-		ev, err := trace.NewEvaluator(t, cfg)
-		if err != nil {
-			p.Close()
-			return nil, err
-		}
-		p.evs = append(p.evs, ev)
-	}
-	return p, nil
-}
-
-// evalAll replays every candidate and returns its makespan, index
-// aligned. Replay results are pure functions of the mapping, so the
-// work distribution cannot affect the values.
-func (p *evalPool) evalAll(cands [][]transport.Endpoint) ([]units.Time, error) {
-	times := make([]units.Time, len(cands))
-	errs := make([]error, len(cands))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	workers := len(p.evs)
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(ev *trace.Evaluator) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(cands) {
-					return
-				}
-				r, err := ev.Evaluate(cands[i])
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				times[i] = r.Time
-			}
-		}(p.evs[w])
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("placement: candidate replay: %w", err)
-		}
-	}
-	return times, nil
-}
-
-// Close releases every worker evaluator.
-func (p *evalPool) Close() {
-	for _, ev := range p.evs {
-		ev.Close()
-	}
-}
-
 // tiered fronts the DES pool — and, in two-tier runs, the surrogate
 // worker clones — behind batch calls that collapse duplicate mappings
 // and account the trajectory. All ordering decisions happen on the
 // coordinator, so worker scheduling cannot leak into results.
 type tiered struct {
-	pool *evalPool
-	sur  []*surrogate.Model // nil when the surrogate tier is off
-	traj Trajectory
+	pool    *trace.EvaluatorPool
+	workers int
+	sur     []*surrogate.Model // one per worker; nil when the surrogate tier is off
+	traj    Trajectory
 }
 
 // factor is the candidate overgeneration ratio: screenFactor with the
@@ -630,16 +573,16 @@ func (e *tiered) factor(screenFactor int) int {
 func (e *tiered) evalDES(cands [][]transport.Endpoint) ([]units.Time, error) {
 	uniq, ref, dups := dedupe(cands)
 	begin := time.Now()
-	ut, err := e.pool.evalAll(uniq)
+	res, err := e.pool.EvaluateMany(uniq, e.workers)
 	e.traj.DESWall += time.Since(begin)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("placement: candidate replay: %w", err)
 	}
 	e.traj.DESEvals += len(uniq)
 	e.traj.DedupHits += dups
 	times := make([]units.Time, len(cands))
 	for i, u := range ref {
-		times[i] = ut[u]
+		times[i] = res[u].Time
 	}
 	return times, nil
 }
@@ -649,14 +592,23 @@ func (e *tiered) evalDES(cands [][]transport.Endpoint) ([]units.Time, error) {
 // shortlist is deterministic — returned in generation order to
 // preserve Metropolis semantics downstream. A no-op when the tier is
 // off or the batch already fits.
-func (e *tiered) screen(cands [][]transport.Endpoint, keep int) [][]transport.Endpoint {
+func (e *tiered) screen(cands [][]transport.Endpoint, keep int) ([][]transport.Endpoint, error) {
 	if len(e.sur) == 0 || keep >= len(cands) {
-		return cands
+		return cands, nil
 	}
 	uniq, ref, dups := dedupe(cands)
 	begin := time.Now()
-	up := e.priceAll(uniq)
+	// Prices are pure functions of the mapping, so which clone prices
+	// which candidate cannot affect them.
+	up := make([]units.Time, len(uniq))
+	i, err := batch.Run(len(uniq), len(e.sur), func(w, i int) error {
+		up[i] = e.sur[w].Price(uniq[i])
+		return nil
+	})
 	e.traj.SurrogateWall += time.Since(begin)
+	if err != nil {
+		return nil, fmt.Errorf("placement: surrogate price of candidate %d: %w", i, err)
+	}
 	e.traj.SurrogateEvals += len(uniq)
 	e.traj.DedupHits += dups
 	idx := make([]int, len(cands))
@@ -676,35 +628,7 @@ func (e *tiered) screen(cands [][]transport.Endpoint, keep int) [][]transport.En
 	for i, j := range kept {
 		out[i] = cands[j]
 	}
-	return out
-}
-
-// priceAll prices candidates across the surrogate clones with the same
-// work-stealing loop as evalAll. Prices are pure functions of the
-// mapping, so distribution cannot affect them.
-func (e *tiered) priceAll(cands [][]transport.Endpoint) []units.Time {
-	prices := make([]units.Time, len(cands))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	workers := len(e.sur)
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(m *surrogate.Model) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(cands) {
-					return
-				}
-				prices[i] = m.Price(cands[i])
-			}
-		}(e.sur[w])
-	}
-	wg.Wait()
-	return prices
+	return out, nil
 }
 
 // Close releases the surrogate clones (the DES pool closes itself).

@@ -2,21 +2,21 @@ package scenario
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 )
 
 // TestSweepsParallelMatchSerial pins the scenario layer's worker-count
 // contract end to end: the saturation and trace-replay sweeps produce
-// byte-identical reports at one worker (SetParallel(1), the CLIs'
-// -pdes=off) and under an explicit multi-worker pool — the same
-// equivalence the pdes-smoke CI job checks on the full artifacts.
+// byte-identical reports at GOMAXPROCS=1 (one run at a time) and on a
+// four-worker pool — the same equivalence the pdes-smoke CI job checks
+// on the full artifacts.
 func TestSweepsParallelMatchSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("four full sweeps")
 	}
-	defer SetParallel(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 
-	SetParallel(1)
 	satSerial, err := SaturationSubset([]int{64})
 	if err != nil {
 		t.Fatalf("serial saturation: %v", err)
@@ -26,7 +26,7 @@ func TestSweepsParallelMatchSerial(t *testing.T) {
 		t.Fatalf("serial trace-replay: %v", err)
 	}
 
-	SetParallel(4)
+	runtime.GOMAXPROCS(4)
 	satParallel, err := SaturationSubset([]int{64})
 	if err != nil {
 		t.Fatalf("parallel saturation: %v", err)

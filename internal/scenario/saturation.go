@@ -110,9 +110,9 @@ func SaturationSubset(nodeCounts []int) ([]SaturationPoint, error) {
 
 // saturationSweep measures every (op, communicator) point on both
 // fabrics. Each of the sweep's runs is an independent simulation, so
-// RunMany spreads them over ParallelWorkers() workers — the
-// full-machine congested alltoall overlaps the other 23 runs instead of
-// following them — with results byte-identical at any worker count.
+// RunMany spreads them over GOMAXPROCS workers — the full-machine
+// congested alltoall overlaps the other 23 runs instead of following
+// them — with results byte-identical at any worker count.
 func saturationSweep(nodeCounts []int) ([]SaturationPoint, error) {
 	var reqs []collectives.Request
 	for _, op := range SaturationOps {
@@ -130,7 +130,7 @@ func saturationSweep(nodeCounts []int) ([]SaturationPoint, error) {
 				collectives.Request{Cfg: congCfg, Op: op, Size: SaturationSize})
 		}
 	}
-	results, err := collectives.RunMany(reqs, ParallelWorkers())
+	results, err := collectives.RunMany(reqs, 0)
 	if err != nil {
 		return nil, fmt.Errorf("scenario coll-saturation: %w", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"time"
 
 	"roadrunner/internal/fabric"
@@ -179,13 +180,13 @@ func surrogateXValOn(tr *trace.Trace, fab *fabric.System) (*SurrogateXValPoint, 
 	}
 
 	cfg := surrogateXValConfig(fab)
-	pool, err := trace.NewEvaluatorPool(tr, cfg, ParallelWorkers())
+	pool, err := trace.NewEvaluatorPool(tr, cfg, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return nil, err
 	}
 	defer pool.Close()
 	all := append(append([][]transport.Endpoint(nil), anchors...), holdout...)
-	res, err := pool.EvaluateMany(all, ParallelWorkers())
+	res, err := pool.EvaluateMany(all, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"runtime"
 
 	"roadrunner/internal/collectives"
 	"roadrunner/internal/fabric"
@@ -108,8 +109,7 @@ type TopoCompareReport struct {
 
 // TopoCompare runs the collective and replay legs on every registered
 // topology. Every run is an independent simulation, spread over
-// ParallelWorkers() workers with results byte-identical at any worker
-// count.
+// GOMAXPROCS workers with results byte-identical at any worker count.
 func TopoCompare() (*TopoCompareReport, error) {
 	rep := &TopoCompareReport{Topologies: fabric.Topologies()}
 
@@ -131,7 +131,7 @@ func TopoCompare() (*TopoCompareReport, error) {
 				collectives.Request{Cfg: congCfg, Op: op, Size: TopoCompareSize})
 		}
 	}
-	results, err := collectives.RunMany(reqs, ParallelWorkers())
+	results, err := collectives.RunMany(reqs, 0)
 	if err != nil {
 		return nil, fmt.Errorf("scenario topo-compare: %w", err)
 	}
@@ -165,7 +165,7 @@ func TopoCompare() (*TopoCompareReport, error) {
 	// Replay leg: one captured Sweep3D iteration, replayed per topology
 	// under block and strided placements, congested vs baseline. One
 	// evaluator pool per (topology, policy), in turn; each spreads its
-	// placements over ParallelWorkers() workers.
+	// placements over GOMAXPROCS workers.
 	tr, _, err := CaptureSweep3DTrace()
 	if err != nil {
 		return nil, err
@@ -199,19 +199,18 @@ func TopoCompare() (*TopoCompareReport, error) {
 			placements[topo] = append(placements[topo], places)
 		}
 	}
-	workers := ParallelWorkers()
 	run := func(l leg) ([]*trace.ReplayResult, error) {
 		pool, err := trace.NewEvaluatorPool(tr, trace.ReplayConfig{
 			Fabric:  fabs[l.topo],
 			Profile: ib.OpenMPI(),
 			Policy:  l.pol,
 			Observe: trace.ObserveCensus,
-		}, workers)
+		}, runtime.GOMAXPROCS(0))
 		if err != nil {
 			return nil, fmt.Errorf("scenario topo-compare: %s: %w", l.topo, err)
 		}
 		defer pool.Close()
-		out, err := pool.EvaluateMany(placements[l.topo], workers)
+		out, err := pool.EvaluateMany(placements[l.topo], 0)
 		if err != nil {
 			return nil, fmt.Errorf("scenario topo-compare: %s: %w", l.topo, err)
 		}

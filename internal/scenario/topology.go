@@ -38,10 +38,6 @@ func TopologyName() string {
 	return fabric.DefaultTopology
 }
 
-// ApplyTopologyFlag parses the CLIs' shared -topology value (an alias
-// of SetTopology with the flag's empty default).
-func ApplyTopologyFlag(v string) error { return SetTopology(v) }
-
 // newFabric builds the full-scale fabric on the selected topology.
 func newFabric() *fabric.System {
 	fab, err := fabric.NewTopology(TopologyName())

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"runtime"
 
 	"roadrunner/internal/cml"
 	"roadrunner/internal/collectives"
@@ -176,9 +177,8 @@ func ReplayUnderPlacements(tr *trace.Trace, captureIteration units.Time) (*Trace
 	// replaying every placement: the trace validates once per pool and
 	// the engine/transport state is reused across the sweep. The
 	// configurations run in turn; each pool's EvaluateMany spreads the
-	// placements over ParallelWorkers() warm evaluators, with results
+	// placements over GOMAXPROCS warm evaluators, with results
 	// byte-identical at any worker count.
-	workers := ParallelWorkers()
 	run := func(pol transport.Policy, skipCompute bool, what string) ([]*trace.ReplayResult, error) {
 		pool, err := trace.NewEvaluatorPool(tr, trace.ReplayConfig{
 			Fabric:      fab,
@@ -186,12 +186,12 @@ func ReplayUnderPlacements(tr *trace.Trace, captureIteration units.Time) (*Trace
 			Policy:      pol,
 			SkipCompute: skipCompute,
 			Observe:     trace.ObserveCensus,
-		}, workers)
+		}, runtime.GOMAXPROCS(0))
 		if err != nil {
 			return nil, fmt.Errorf("scenario trace-replay: %s: %w", what, err)
 		}
 		defer pool.Close()
-		out, err := pool.EvaluateMany(placements, workers)
+		out, err := pool.EvaluateMany(placements, 0)
 		if err != nil {
 			return nil, fmt.Errorf("scenario trace-replay: %s: %w", what, err)
 		}

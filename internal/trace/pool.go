@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"roadrunner/internal/batch"
 	"roadrunner/internal/transport"
 )
 
@@ -106,82 +107,42 @@ func (p *EvaluatorPool) Put(e *Evaluator) {
 }
 
 // EvaluateMany replays every placement and returns the results in
-// input order. Up to workers goroutines (workers < 1 means one) each
-// check out an evaluator and claim placements in index order until
-// none are left. Because Evaluate on any pooled evaluator is pinned
-// byte-identical to a fresh Replay of the same placement, which
-// evaluator handles which placement is observable only in wall clock:
-// the returned results are identical at every worker count.
+// input order. The placements run on batch.Run (workers < 1 means
+// GOMAXPROCS): each of its goroutines checks out one evaluator on its
+// first claim and keeps it for the batch. Because Evaluate on any
+// pooled evaluator is pinned byte-identical to a fresh Replay of the
+// same placement, which evaluator handles which placement is observable
+// only in wall clock: the returned results are identical at every
+// worker count.
 //
 // A failed evaluation — an error, or a panic inside the replay, which
-// closes that evaluator instead of crashing the process — stops the
-// batch: no placement starts after it, and the error returned is the
-// one of the lowest-index failed placement, the same at every worker
-// count (claims run in index order, so every placement below a failure
-// was already claimed and runs to the end).
+// comes back as an error instead of crashing the process — stops the
+// batch, and the error returned is the one of the lowest-index failed
+// placement, the same at every worker count. A failed batch closes
+// every evaluator it checked out, so none whose replay broke off goes
+// back to the pool warm.
 func (p *EvaluatorPool) EvaluateMany(placements [][]transport.Endpoint, workers int) ([]*ReplayResult, error) {
 	out := make([]*ReplayResult, len(placements))
-	var (
-		mu      sync.Mutex
-		next    int
-		failed  int
-		failErr error
-		wg      sync.WaitGroup
-	)
-	claim := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		if next == len(placements) || failErr != nil {
-			return -1
-		}
-		next++
-		return next - 1
-	}
-	fail := func(i int, err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if failErr == nil || i < failed {
-			failed, failErr = i, fmt.Errorf("trace: replay placement %d: %w", i, err)
-		}
-	}
-	for w := 0; w < min(max(workers, 1), len(placements)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var ev *Evaluator
-			defer func() { p.Put(ev) }()
-			for i := claim(); i >= 0; i = claim() {
-				var err error
-				if ev == nil {
-					ev, err = p.Get()
-				}
-				if err == nil {
-					out[i], err = evaluate(ev, placements[i])
-				}
-				if err != nil {
-					fail(i, err)
-					return
-				}
+	evs := make([]*Evaluator, len(placements)) // by goroutine number, which is below len(placements)
+	i, err := batch.Run(len(placements), workers, func(w, i int) (err error) {
+		if evs[w] == nil {
+			if evs[w], err = p.Get(); err != nil {
+				return err
 			}
-		}()
+		}
+		out[i], err = evs[w].Evaluate(placements[i])
+		return err
+	})
+	for _, ev := range evs {
+		if ev != nil && err != nil {
+			ev.Close()
+		}
+		p.Put(ev)
 	}
-	wg.Wait()
-	if failErr != nil {
-		return nil, failErr
+	if err != nil {
+		return nil, fmt.Errorf("trace: replay placement %d: %w", i, err)
 	}
 	return out, nil
-}
-
-// evaluate replays one placement, turning a panic inside the replay
-// into an error; the evaluator is closed, so Put discards it.
-func evaluate(ev *Evaluator, places []transport.Endpoint) (r *ReplayResult, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			ev.Close()
-			r, err = nil, fmt.Errorf("panic: %v", v)
-		}
-	}()
-	return ev.Evaluate(places)
 }
 
 // Stats reports how many evaluators the pool built and how many
