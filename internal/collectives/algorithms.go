@@ -1,7 +1,8 @@
 package collectives
 
 import (
-	"roadrunner/internal/sim"
+	"math/bits"
+
 	"roadrunner/internal/units"
 )
 
@@ -23,10 +24,58 @@ const (
 	tagGather = 5 << 20
 )
 
-// algorithms maps each Op to its rank body. Every body is executed by
-// all ranks concurrently as sim.Procs and returns the rank's final
-// semantic payload.
-var algorithms = map[Op]func(*comm, *sim.Proc, int, units.Size) []float64{
+// payload is a message's semantic content: one value for the algorithms
+// that move a segment at a time (the ring passes, alltoall), which so
+// allocate nothing per message, and a vector for the rest.
+type payload struct {
+	val float64
+	vec []float64
+}
+
+// How an exchange's recv folds the payload into the rank's vector at
+// its index.
+const (
+	foldNone = iota
+	addVal   // out[into] += val
+	setVal   // out[into] = val
+	addVec   // out[into:] += vec, elementwise
+	setVec   // out[into:] = vec
+)
+
+// exchange is one step of a rank program: a send to dst, then a recv of
+// the message from src, folded into the rank's vector as fold says;
+// either half may be absent, and a send-then-recv shares one tag.
+type exchange struct {
+	send, recv bool
+	dst, src   int
+	tag        int
+	size       units.Size // the send's modeled wire size
+	data       payload    // the send's semantic payload
+	fold       uint8
+	into       int
+}
+
+func sendRecv(dst, src, tag int, size units.Size, data payload, fold uint8, into int) exchange {
+	return exchange{send: true, recv: true, dst: dst, src: src, tag: tag, size: size, data: data,
+		fold: fold, into: into}
+}
+
+// program is one rank's side of a collective algorithm: next generates
+// the rank's exchanges one at a time from a few words of state, and
+// returns false once the rank is done; out is the semantic vector the
+// recvs fold into, and the rank's final payload.
+type program struct {
+	next func() (exchange, bool)
+	out  []float64
+}
+
+// algorithm builds rank r's program for a collective over n ranks, with
+// size the collective's message size parameter and root the broadcast
+// root.
+type algorithm func(r, n, root int, size units.Size) program
+
+// algorithms maps each Op to its rank programs.
+var algorithms = map[Op]algorithm{
 	BcastBinomial:              bcastBinomial,
 	BarrierRecursiveDoubling:   barrierRecursiveDoubling,
 	AllreduceRecursiveDoubling: allreduceRecursiveDoubling,
@@ -44,6 +93,9 @@ func addInto(a, b []float64) {
 		a[i] += b[i]
 	}
 }
+
+// mod is a mod n in 0..n-1 for either sign of a.
+func mod(a, n int) int { return (a%n + n) % n }
 
 // floorPow2 returns the largest power of two <= n (n >= 1).
 func floorPow2(n int) int {
@@ -77,34 +129,33 @@ func sizeFrac(size units.Size, num, den int) units.Size {
 // root sending to progressively closer subtree roots, each forwarding
 // down its subtree. Hop-limited latency grows with the tree depth; every
 // edge carries the full payload.
-func bcastBinomial(c *comm, p *sim.Proc, r int, size units.Size) []float64 {
-	n := len(c.cfg.Places)
-	root := c.cfg.Root
+func bcastBinomial(r, n, root int, size units.Size) program {
 	rel := (r - root + n) % n
-	var data []float64
+	data := make([]float64, semanticLen)
 	if rel == 0 {
-		data = make([]float64, semanticLen)
 		for i := range data {
 			data[i] = contribution(root, i)
 		}
-	} else {
-		// The parent is rel with its highest set bit cleared.
-		h := 1
-		for h*2 <= rel {
-			h *= 2
-		}
-		src := (rel - h + root) % n
-		data = c.recv(p, r, src, tagBcast)
 	}
+	// Children sit at every power of two h above rel; the parent is rel
+	// with its highest set bit cleared.
 	h := 1
 	for h <= rel {
 		h *= 2
 	}
-	for ; rel+h < n; h *= 2 {
+	recvd := rel == 0
+	return program{out: data, next: func() (exchange, bool) {
+		if !recvd {
+			recvd = true
+			return exchange{recv: true, src: (rel - h/2 + root) % n, tag: tagBcast, fold: setVec}, true
+		}
+		if rel+h >= n {
+			return exchange{}, false
+		}
 		dst := (rel + h + root) % n
-		c.send(p, r, dst, tagBcast, size, data)
-	}
-	return data
+		h *= 2
+		return exchange{send: true, dst: dst, tag: tagBcast, size: size, data: payload{vec: data}}, true
+	}}
 }
 
 // barrierRecursiveDoubling is the dissemination form of the
@@ -112,68 +163,31 @@ func bcastBinomial(c *comm, p *sim.Proc, r int, size units.Size) []float64 {
 // ceil(log2 P) rounds: in round k every rank signals (r + 2^k) mod P and
 // waits for (r - 2^k) mod P. No payload moves; the cost is pure software
 // overhead and hop latency per round.
-func barrierRecursiveDoubling(c *comm, p *sim.Proc, r int, _ units.Size) []float64 {
-	n := len(c.cfg.Places)
-	for k, dist := 0, 1; dist < n; k, dist = k+1, dist*2 {
-		dst := (r + dist) % n
-		src := (r - dist + n) % n
-		c.send(p, r, dst, tagStep+k, 0, nil)
-		c.recv(p, r, src, tagStep+k)
-	}
-	return nil
-}
-
-// foldDown runs the MPICH pre-phase for non-power-of-two rank counts:
-// even ranks below 2*rem ship their vector to the odd rank above and sit
-// out; odd ranks fold it in and join the power-of-two phase. Returns the
-// participant index, or -1 for ranks that sat out.
-func foldDown(c *comm, p *sim.Proc, r int, size units.Size, vec []float64, rem int) int {
-	switch {
-	case r < 2*rem && r%2 == 0:
-		c.send(p, r, r+1, tagFold, size, cloneSlice(vec))
-		return -1
-	case r < 2*rem:
-		addInto(vec, c.recv(p, r, r-1, tagFold))
-		return r / 2
-	default:
-		return r - rem
-	}
-}
-
-// foldUp runs the post-phase: odd ranks of the fold region return the
-// finished vector to the even rank that sat out.
-func foldUp(c *comm, p *sim.Proc, r int, size units.Size, vec []float64, rem int) []float64 {
-	if r >= 2*rem {
-		return vec
-	}
-	if r%2 == 0 {
-		return c.recv(p, r, r+1, tagUnfold)
-	}
-	c.send(p, r, r-1, tagUnfold, size, cloneSlice(vec))
-	return vec
+func barrierRecursiveDoubling(r, n, _ int, _ units.Size) program {
+	k := 0
+	return program{next: func() (exchange, bool) {
+		dist := 1 << k
+		if dist >= n {
+			return exchange{}, false
+		}
+		x := sendRecv((r+dist)%n, (r-dist+n)%n, tagStep+k, 0, payload{}, foldNone, 0)
+		k++
+		return x, true
+	}}
 }
 
 // allreduceRecursiveDoubling exchanges and folds full vectors between
 // pairs at doubling distances: log2 P rounds, each moving the whole
 // payload. Latency-optimal for small messages; bandwidth-poor for large
 // ones (every round retransmits everything).
-func allreduceRecursiveDoubling(c *comm, p *sim.Proc, r int, size units.Size) []float64 {
-	n := len(c.cfg.Places)
-	vec := make([]float64, semanticLen)
-	for i := range vec {
-		vec[i] = contribution(r, i)
-	}
-	pof2 := floorPow2(n)
-	rem := n - pof2
-	newrank := foldDown(c, p, r, size, vec, rem)
-	if newrank >= 0 {
-		for step, mask := 0, 1; mask < pof2; step, mask = step+1, mask*2 {
-			partner := realRank(newrank^mask, rem)
-			c.send(p, r, partner, tagStep+step, size, cloneSlice(vec))
-			addInto(vec, c.recv(p, r, partner, tagStep+step))
+func allreduceRecursiveDoubling(r, n, _ int, size units.Size) program {
+	return allreduce(r, n, size, func(f *reduction, i int) (exchange, bool) {
+		if i == f.rounds {
+			return exchange{}, false
 		}
-	}
-	return foldUp(c, p, r, size, vec, rem)
+		partner := realRank(f.newrank^(1<<i), f.rem)
+		return sendRecv(partner, partner, tagStep+i, size, payload{vec: cloneSlice(f.vec)}, addVec, 0), true
+	})
 }
 
 // allreduceRabenseifner is reduce-scatter by recursive halving followed
@@ -181,136 +195,180 @@ func allreduceRecursiveDoubling(c *comm, p *sim.Proc, r int, size units.Size) []
 // of the remaining range, so total traffic is ~2*size*(1-1/P) per rank
 // instead of recursive doubling's size*log2(P) — the large-message
 // algorithm of the MPICH/Open MPI lineage.
-func allreduceRabenseifner(c *comm, p *sim.Proc, r int, size units.Size) []float64 {
-	n := len(c.cfg.Places)
-	vec := make([]float64, semanticLen)
-	for i := range vec {
-		vec[i] = contribution(r, i)
-	}
-	pof2 := floorPow2(n)
-	rem := n - pof2
-	newrank := foldDown(c, p, r, size, vec, rem)
-	if newrank >= 0 {
-		// level records one halving so the allgather can mirror it. The
-		// virtual range (vlo, vhi) over pof2 segments models the wire
-		// size; the real range (lo, hi) over the semantic vector carries
-		// the validated values.
-		type level struct {
-			lo, mid, hi    int
-			vlo, vmid, vhi int
-			keptLow        bool
+func allreduceRabenseifner(r, n, _ int, size units.Size) program {
+	return allreduce(r, n, size, func(f *reduction, i int) (exchange, bool) {
+		if i == 2*f.rounds {
+			return exchange{}, false
 		}
-		lo, hi := 0, semanticLen
-		vlo, vhi := 0, pof2
-		var stack []level
-		step := 0
-		for mask := pof2 / 2; mask >= 1; mask /= 2 {
-			partner := realRank(newrank^mask, rem)
-			mid := lo + (hi-lo)/2
-			vmid := vlo + (vhi-vlo)/2
-			keepLow := newrank&mask == 0
-			sendLo, sendHi, sendV := mid, hi, vhi-vmid
-			recvLo := lo
-			if !keepLow {
-				sendLo, sendHi, sendV = lo, mid, vmid-vlo
-				recvLo = mid
+		if i < f.rounds {
+			// Halving round i: keep one half of the range, ship the other.
+			lv := f.level(i)
+			partner := realRank(f.newrank^(f.pof2>>(i+1)), f.rem)
+			sendLo, sendHi, sendV, recvLo := lv.mid, lv.hi, lv.vhi-lv.vmid, lv.lo
+			if !lv.keptLow {
+				sendLo, sendHi, sendV, recvLo = lv.lo, lv.mid, lv.vmid-lv.vlo, lv.mid
 			}
-			c.send(p, r, partner, tagStep+step, sizeFrac(size, sendV, pof2),
-				cloneSlice(vec[sendLo:sendHi]))
-			addInto(vec[recvLo:], c.recv(p, r, partner, tagStep+step))
-			stack = append(stack, level{lo, mid, hi, vlo, vmid, vhi, keepLow})
-			if keepLow {
-				hi, vhi = mid, vmid
-			} else {
-				lo, vlo = mid, vmid
-			}
-			step++
+			return sendRecv(partner, partner, tagStep+i, sizeFrac(size, sendV, f.pof2),
+				payload{vec: cloneSlice(f.vec[sendLo:sendHi])}, addVec, recvLo), true
 		}
 		// Allgather mirrors the halvings innermost-out: at each level the
 		// pair exchanges owned ranges, doubling what both hold.
-		for i := len(stack) - 1; i >= 0; i-- {
-			lv := stack[i]
-			mask := pof2 >> (i + 1)
-			partner := realRank(newrank^mask, rem)
-			ownLo, ownHi, ownV := lv.lo, lv.mid, lv.vmid-lv.vlo
-			otherLo := lv.mid
-			if !lv.keptLow {
-				ownLo, ownHi, ownV = lv.mid, lv.hi, lv.vhi-lv.vmid
-				otherLo = lv.lo
-			}
-			c.send(p, r, partner, tagGather+i, sizeFrac(size, ownV, pof2),
-				cloneSlice(vec[ownLo:ownHi]))
-			copy(vec[otherLo:], c.recv(p, r, partner, tagGather+i))
+		i = 2*f.rounds - 1 - i
+		lv := f.level(i)
+		partner := realRank(f.newrank^(f.pof2>>(i+1)), f.rem)
+		ownLo, ownHi, ownV, otherLo := lv.lo, lv.mid, lv.vmid-lv.vlo, lv.mid
+		if !lv.keptLow {
+			ownLo, ownHi, ownV, otherLo = lv.mid, lv.hi, lv.vhi-lv.vmid, lv.lo
+		}
+		return sendRecv(partner, partner, tagGather+i, sizeFrac(size, ownV, f.pof2),
+			payload{vec: cloneSlice(f.vec[ownLo:ownHi])}, setVec, otherLo), true
+	})
+}
+
+// reduction is a rank's vector allreduce state. For rank counts that
+// are not a power of two, the MPICH fold frames the power-of-two phase
+// over pof2 participants (rounds = log2 pof2): even ranks below 2*rem
+// ship their vector to the odd rank above and sit out (newrank -1); odd
+// ranks fold it in and join; afterwards the odd ranks of the fold region
+// return the finished vector to the even rank that sat out.
+type reduction struct {
+	rem, pof2, rounds, newrank int
+	vec                        []float64
+}
+
+// allreduce builds rank r's vector allreduce: the fold down, phase(f, i)
+// for the power-of-two phase's exchange i until it returns false, then
+// the fold up.
+func allreduce(r, n int, size units.Size, phase func(f *reduction, i int) (exchange, bool)) program {
+	pof2 := floorPow2(n)
+	f := &reduction{rem: n - pof2, pof2: pof2, rounds: bits.Len(uint(pof2)) - 1,
+		newrank: r - (n - pof2), vec: make([]float64, semanticLen)}
+	for i := range f.vec {
+		f.vec[i] = contribution(r, i)
+	}
+	inFold, even := r < 2*f.rem, r%2 == 0
+	if inFold {
+		f.newrank = r / 2
+		if even {
+			f.newrank = -1
 		}
 	}
-	return foldUp(c, p, r, size, vec, rem)
+	down, i, up := inFold, 0, inFold
+	return program{out: f.vec, next: func() (exchange, bool) {
+		if down {
+			down = false
+			if even {
+				return exchange{send: true, dst: r + 1, tag: tagFold, size: size,
+					data: payload{vec: cloneSlice(f.vec)}}, true
+			}
+			return exchange{recv: true, src: r - 1, tag: tagFold, fold: addVec}, true
+		}
+		if f.newrank >= 0 {
+			if x, ok := phase(f, i); ok {
+				i++
+				return x, true
+			}
+		}
+		if up {
+			up = false
+			if even {
+				return exchange{recv: true, src: r + 1, tag: tagUnfold, fold: setVec}, true
+			}
+			return exchange{send: true, dst: r - 1, tag: tagUnfold, size: size,
+				data: payload{vec: cloneSlice(f.vec)}}, true
+		}
+		return exchange{}, false
+	}}
+}
+
+// level is one halving round of Rabenseifner's phase. The virtual range
+// (vlo, vhi) over pof2 segments models the wire size; the real range
+// (lo, hi) over the semantic vector carries the validated values; both
+// split at their mid, and keptLow says which half the rank kept.
+type level struct {
+	lo, mid, hi    int
+	vlo, vmid, vhi int
+	keptLow        bool
+}
+
+// level returns halving round i's split. Rounds are few (log2 P), so the
+// allgather re-derives each level from the full ranges instead of
+// keeping a stack.
+func (f *reduction) level(i int) level {
+	lo, hi, vlo, vhi := 0, semanticLen, 0, f.pof2
+	for k := 0; ; k++ {
+		lv := level{lo, lo + (hi-lo)/2, hi, vlo, vlo + (vhi-vlo)/2, vhi, f.newrank&(f.pof2>>(k+1)) == 0}
+		if k == i {
+			return lv
+		}
+		if lv.keptLow {
+			hi, vhi = lv.mid, lv.vmid
+		} else {
+			lo, vlo = lv.mid, lv.vmid
+		}
+	}
 }
 
 // allreduceRing is the bandwidth-optimal ring: a reduce-scatter pass
 // then an allgather pass, each P-1 steps moving size/P bytes, so every
 // rank sends ~2*size total regardless of P — at the price of 2(P-1)
 // latency terms. The semantic vector has one element per segment.
-func allreduceRing(c *comm, p *sim.Proc, r int, size units.Size) []float64 {
-	n := len(c.cfg.Places)
+func allreduceRing(r, n, _ int, size units.Size) program {
 	vec := make([]float64, n)
 	for i := range vec {
 		vec[i] = contribution(r, i)
 	}
-	if n == 1 {
-		return vec
-	}
-	next, prev := (r+1)%n, (r-1+n)%n
-	segSize := sizeFrac(size, 1, n)
 	// Reduce-scatter: after step s every rank has folded one more
 	// segment; after n-1 steps rank r fully owns segment (r+1) mod n.
-	for s := 0; s < n-1; s++ {
-		sendSeg := ((r-s)%n + n) % n
-		recvSeg := ((r-s-1)%n + n) % n
-		c.send(p, r, next, tagStep+s, segSize, []float64{vec[sendSeg]})
-		vec[recvSeg] += c.recv(p, r, prev, tagStep+s)[0]
-	}
-	// Allgather: circulate the finished segments.
-	for s := 0; s < n-1; s++ {
-		sendSeg := ((r+1-s)%n + n) % n
-		recvSeg := ((r-s)%n + n) % n
-		c.send(p, r, next, tagGather+s, segSize, []float64{vec[sendSeg]})
-		vec[recvSeg] = c.recv(p, r, prev, tagGather+s)[0]
-	}
-	return vec
+	// Then the allgather circulates the finished segments.
+	reduce := ring(r, n, 0, tagStep, sizeFrac(size, 1, n), addVal, vec)
+	gather := ring(r, n, 1, tagGather, sizeFrac(size, 1, n), setVal, vec)
+	return program{out: vec, next: func() (exchange, bool) {
+		if x, ok := reduce(); ok {
+			return x, true
+		}
+		return gather()
+	}}
 }
 
 // allgatherRing circulates each rank's block around the ring: P-1 steps
 // of size bytes each (size is the per-rank contribution).
-func allgatherRing(c *comm, p *sim.Proc, r int, size units.Size) []float64 {
-	n := len(c.cfg.Places)
+func allgatherRing(r, n, _ int, size units.Size) program {
 	vec := make([]float64, n)
 	vec[r] = contribution(r, 0)
-	if n == 1 {
-		return vec
+	return program{out: vec, next: ring(r, n, 0, tagStep, size, setVal, vec)}
+}
+
+// ring generates one ring pass of n-1 steps: in step s rank r sends
+// segment (r+off-s) mod n to its successor and receives segment
+// (r+off-s-1) mod n from its predecessor, folded in as how says.
+func ring(r, n, off, tag int, size units.Size, how uint8, vec []float64) func() (exchange, bool) {
+	s := 0
+	return func() (exchange, bool) {
+		if s >= n-1 {
+			return exchange{}, false
+		}
+		x := sendRecv((r+1)%n, (r-1+n)%n, tag+s, size,
+			payload{val: vec[mod(r+off-s, n)]}, how, mod(r+off-s-1, n))
+		s++
+		return x, true
 	}
-	next, prev := (r+1)%n, (r-1+n)%n
-	for s := 0; s < n-1; s++ {
-		sendSeg := ((r-s)%n + n) % n
-		recvSeg := ((r-s-1)%n + n) % n
-		c.send(p, r, next, tagStep+s, size, []float64{vec[sendSeg]})
-		vec[recvSeg] = c.recv(p, r, prev, tagStep+s)[0]
-	}
-	return vec
 }
 
 // alltoallPairwise exchanges personalized blocks in P-1 rounds: in round
 // k rank r sends its block for (r+k) mod P and receives from (r-k) mod P
 // (size is the per-destination block). Total traffic per rank grows
 // linearly in P — the algorithm that most stresses the 2:1 taper.
-func alltoallPairwise(c *comm, p *sim.Proc, r int, size units.Size) []float64 {
-	n := len(c.cfg.Places)
+func alltoallPairwise(r, n, _ int, size units.Size) program {
 	out := make([]float64, n)
 	out[r] = contribution(r, r)
-	for k := 1; k < n; k++ {
-		dst := (r + k) % n
-		src := (r - k + n) % n
-		c.send(p, r, dst, tagStep+k, size, []float64{contribution(r, dst)})
-		out[src] = c.recv(p, r, src, tagStep+k)[0]
-	}
-	return out
+	k := 0
+	return program{out: out, next: func() (exchange, bool) {
+		k++
+		if k >= n {
+			return exchange{}, false
+		}
+		dst, src := (r+k)%n, (r-k+n)%n
+		return sendRecv(dst, src, tagStep+k, size, payload{val: contribution(r, dst)}, setVal, src), true
+	}}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // The collective benches are the DES hot path the scenario sweeps
-// amplify: thousands of rank procs exchanging through shared HCAs. The
+// amplify: thousands of rank walkers exchanging through shared HCAs. The
 // CI smoke runs them once (-benchtime=1x) to keep them from rotting;
 // the bench-artifact step runs them at the default benchtime and
 // archives the JSON output as BENCH_<short-sha>.json per commit (see

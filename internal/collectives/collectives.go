@@ -1,12 +1,20 @@
 // Package collectives runs MPI collective algorithms as discrete-event
-// processes over the Roadrunner interconnect models: every rank is a
-// sim.Proc, and every message moves through internal/transport — the
-// fabric model for crossbar-hop latency, the ib HCA model for payload
-// streaming, and (when the congestion policy is on) link-level channel
-// occupancy over the routed cable topology — so protocol overheads, the
+// simulations over the Roadrunner interconnect models: every rank is an
+// event-driven walker over its algorithm's per-rank program, and every
+// message moves through internal/transport — the fabric model for
+// crossbar-hop latency, the ib HCA model for payload streaming, and
+// (when the congestion policy is on) link-level channel occupancy over
+// the routed cable topology — so protocol overheads, the
 // eager/rendezvous switch, near/far core asymmetry, HCA multi-flow
 // serialization and uplink contention all shape the collective's timing
 // exactly as they shape point-to-point transfers.
+//
+// A program yields its rank's exchanges one at a time — a send, a recv,
+// or a send then a recv — from a few words of state, and the walker
+// steps it on calendar events exactly where a blocking rank process
+// would resume: after the send's overhead or transfer chain, and at the
+// delivery that satisfies a waiting recv. A run spawns no goroutine and
+// switches no coroutine.
 //
 // The package implements the algorithm repertoire an Open MPI of the
 // paper's era would choose from — binomial-tree broadcast, a
@@ -26,6 +34,7 @@ package collectives
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"roadrunner/internal/batch"
 	"roadrunner/internal/fabric"
@@ -231,110 +240,212 @@ func (r *Result) Bandwidth() units.Bandwidth {
 	return units.Bandwidth(float64(r.Size) / r.Time.Seconds())
 }
 
-// comm is the per-run communicator state shared by all rank procs: the
-// mailboxes carrying semantic payloads, and the transport net moving the
-// modeled bytes.
+// comm is the per-run communicator: the rank walkers, the transport net
+// moving the modeled bytes, and the free list of in-flight messages.
 type comm struct {
-	eng    *sim.Engine
-	cfg    Config
-	net    *transport.Net
-	inbox  []*sim.Mailbox[*message]
-	finish []units.Time
-
-	// Message recycling and match state. Messages pool through a free
-	// list with their delivery closure bound once, and each rank's
-	// receive predicate is bound once over per-rank match slots, so the
-	// send/recv hot path — millions of messages in a full-machine
-	// alltoall — allocates nothing beyond the semantic payload.
-	freeMsg  *message
-	matchSrc []int
-	matchTag []int
-	preds    []func(*message) bool
+	eng   *sim.Engine
+	cfg   Config
+	net   *transport.Net
+	ranks []rank
+	done  int     // ranks whose program ended
+	free  *flight // recycled in-flight messages
 }
 
-// message is one in-flight point-to-point transfer inside a collective.
-type message struct {
-	src  int
-	tag  int
-	size units.Size
-	data []float64
-
-	box     *sim.Mailbox[*message] // destination inbox of the current flight
-	deliver func()                 // bound once: box.Put(this)
-	next    *message               // free-list link
+// arrival is a delivered message a rank has not received yet.
+type arrival struct {
+	src, tag int
+	data     payload
 }
 
-func newComm(eng *sim.Engine, cfg Config) *comm {
-	ranks := len(cfg.Places)
-	c := &comm{
-		eng:      eng,
-		cfg:      cfg,
-		net:      transport.New(eng, cfg.Fabric, cfg.Profile, cfg.Congestion),
-		inbox:    make([]*sim.Mailbox[*message], ranks),
-		finish:   make([]units.Time, ranks),
-		matchSrc: make([]int, ranks),
-		matchTag: make([]int, ranks),
-		preds:    make([]func(*message) bool, ranks),
+// flight is one message in transit to rank dst. Its delivery event is
+// bound once, and flights recycle through the comm's free list, so the
+// send/recv hot path — millions of messages in a full-machine alltoall —
+// allocates nothing beyond a vector payload.
+type flight struct {
+	c         *comm
+	dst       int
+	msg       arrival
+	deliverFn func()
+	next      *flight
+}
+
+// deliver queues the message at its rank and recycles the flight. A rank
+// blocked in a recv steps at once to re-match, whether or not the
+// message is the one it waits for.
+func (f *flight) deliver() {
+	c, w := f.c, &f.c.ranks[f.dst]
+	w.queue = append(w.queue, f.msg)
+	f.msg, f.next, c.free = arrival{}, c.free, f
+	if w.waiting {
+		w.waiting = false
+		w.wake(0)
 	}
-	for i := range cfg.Places {
-		c.inbox[i] = sim.NewMailbox[*message](eng, fmt.Sprintf("coll-rank%d", i))
-		i := i
-		c.preds[i] = func(m *message) bool {
-			return m.src == c.matchSrc[i] && m.tag == c.matchTag[i]
-		}
+}
+
+// rank walks one rank's program as an event-driven state machine: x is
+// the exchange in progress, and pend or fl the send the next step must
+// finish before the walk goes on. A walk leaves one way back in
+// whenever it stops: a scheduled step, a transfer chain that ends by
+// scheduling it, or — blocked in a recv — the next delivery to the
+// rank, which schedules it at delay 0. Each step takes the calendar slot
+// of a blocking rank process's resume: its start, the end of its send,
+// or its mailbox wake.
+type rank struct {
+	c    *comm
+	id   int
+	prog program
+	x    exchange
+	// armed: a step is scheduled, or a chain will schedule one.
+	armed, waiting bool // waiting: blocked in x's recv
+
+	pend   *transport.Pending // x's chained send, in flight
+	fl     *flight            // x's short send, awaiting its delivery
+	after  units.Time         // ... after this delay
+	queue  []arrival          // delivered, not yet received; arrival order
+	finish units.Time         // when the program ended
+
+	stepFn func() // bound once: the step event
+}
+
+func newComm(eng *sim.Engine, cfg Config, algo algorithm, size units.Size) *comm {
+	n := len(cfg.Places)
+	c := &comm{
+		eng:   eng,
+		cfg:   cfg,
+		net:   transport.New(eng, cfg.Fabric, cfg.Profile, cfg.Congestion),
+		ranks: make([]rank, n),
+	}
+	// Every rank's first step runs at delay 0, in rank order.
+	for r := range c.ranks {
+		w := &c.ranks[r]
+		w.c, w.id, w.prog = c, r, algo(r, n, cfg.Root, size)
+		w.stepFn = w.step
+		w.wake(0)
 	}
 	return c
 }
 
-// getMsg pops a pooled message (allocating, with its delivery closure,
-// on first use).
-func (c *comm) getMsg() *message {
-	m := c.freeMsg
-	if m == nil {
-		m = &message{}
-		m.deliver = func() { m.box.Put(m) }
-		return m
+// arm claims the rank's one pending step; a second is an engine bug.
+func (w *rank) arm() {
+	if w.armed {
+		panic(fmt.Sprintf("collectives: rank %d: second pending step", w.id))
 	}
-	c.freeMsg = m.next
-	m.next = nil
-	return m
+	w.armed = true
 }
 
-// putMsg returns a delivered-and-consumed message to the pool.
-func (c *comm) putMsg(m *message) {
-	m.data = nil
-	m.box = nil
-	m.next = c.freeMsg
-	c.freeMsg = m
+// wake schedules the rank's next step after d.
+func (w *rank) wake(d units.Time) {
+	w.arm()
+	w.c.eng.Schedule(d, w.stepFn)
 }
 
-// send transmits a message from src to dst over the transport, blocking
-// the calling proc for the sender-side costs (software overhead, the
-// rendezvous round trip, link admission, the HCA stream); the payload is
-// delivered to dst's mailbox after the fabric traversal and the
-// receive-side overhead.
-func (c *comm) send(p *sim.Proc, src, dst, tag int, size units.Size, data []float64) {
-	m := c.getMsg()
-	m.src, m.tag, m.size, m.data = src, tag, size, data
-	m.box = c.inbox[dst]
-	a, b := c.cfg.Places[src], c.cfg.Places[dst]
-	c.net.Transfer(p,
-		transport.Endpoint{Node: a.Node, Core: a.Core},
-		transport.Endpoint{Node: b.Node, Core: b.Core},
-		size, m.deliver)
+// step is the rank's calendar event: it finishes the send in progress,
+// then walks on.
+func (w *rank) step() {
+	w.armed = false
+	if w.pend != nil {
+		w.c.net.FinishTransfer(w.pend)
+		w.pend = nil
+	} else if w.fl != nil {
+		w.c.eng.Schedule(w.after, w.fl.deliverFn)
+		w.fl = nil
+	}
+	w.run()
 }
 
-// recv blocks until the message with the given source and tag arrives at
-// rank dst, recycles the message and returns its payload. Safe because
-// rank dst is the only reader of its inbox, so the match slots stay
-// stable while the proc is parked inside GetMatch.
-func (c *comm) recv(p *sim.Proc, dst, src, tag int) []float64 {
-	c.matchSrc[dst] = src
-	c.matchTag[dst] = tag
-	m := c.inbox[dst].GetMatch(p, c.preds[dst])
-	data := m.data
-	c.putMsg(m)
-	return data
+// run finishes the exchange in progress — its recv, if any — and walks
+// the program on until a send takes simulated time, a recv finds no
+// match, or the program ends.
+func (w *rank) run() {
+	for {
+		if w.x.recv {
+			in, ok := w.take()
+			if !ok {
+				w.waiting = true
+				return
+			}
+			w.x.recv = false
+			w.fold(in)
+		}
+		x, ok := w.prog.next()
+		if !ok {
+			w.finish = w.c.eng.Now()
+			w.c.done++
+			return
+		}
+		w.x = x
+		if x.send {
+			w.send()
+			return
+		}
+	}
+}
+
+// take removes the first queued message matching the recv's source and
+// tag, in arrival order.
+func (w *rank) take() (payload, bool) {
+	for i, m := range w.queue {
+		if m.src == w.x.src && m.tag == w.x.tag {
+			w.queue = slices.Delete(w.queue, i, i+1)
+			return m.data, true
+		}
+	}
+	return payload{}, false
+}
+
+// fold lands a received payload in the rank's vector as the exchange
+// says.
+func (w *rank) fold(in payload) {
+	out, i := w.prog.out, w.x.into
+	switch w.x.fold {
+	case addVal:
+		out[i] += in.val
+	case setVal:
+		out[i] = in.val
+	case addVec:
+		addInto(out[i:], in.vec)
+	case setVec:
+		copy(out[i:], in.vec)
+	}
+}
+
+// send starts x's send over the transport: an inter-node message with a
+// payload streams as a transfer chain that ends by scheduling the rank's
+// step; an intra-node or zero-size one steps the rank after the
+// sender-side overhead and schedules its delivery from there.
+func (w *rank) send() {
+	c := w.c
+	fl := c.free
+	if fl == nil {
+		fl = &flight{c: c}
+		fl.deliverFn = fl.deliver
+	} else {
+		c.free = fl.next
+		fl.next = nil
+	}
+	fl.dst = w.x.dst
+	fl.msg = arrival{src: w.id, tag: w.x.tag, data: w.x.data}
+	src, dst := transport.Endpoint(c.cfg.Places[w.id]), transport.Endpoint(c.cfg.Places[w.x.dst])
+	if w.x.size > 0 && src.Node != dst.Node {
+		w.arm()
+		w.pend = c.net.StartTransfer(src, dst, w.x.size, fl.deliverFn, w.stepFn)
+		return
+	}
+	send, after := c.net.ShortTransfer(src, dst, w.x.size)
+	w.fl, w.after = fl, after
+	w.wake(send)
+}
+
+// deadlock reports the ranks left waiting in a recv when the calendar
+// emptied, the way the engine reports blocked processes.
+func (c *comm) deadlock() error {
+	d := &sim.DeadlockError{Time: c.eng.Now()}
+	for r := range c.ranks {
+		if w := &c.ranks[r]; w.waiting {
+			d.Procs = append(d.Procs, fmt.Sprintf("rank%d (recv from %d tag %d)", r, w.x.src, w.x.tag))
+		}
+	}
+	return d
 }
 
 // contribution is rank r's semantic input for element i. The values are
@@ -385,17 +496,17 @@ func Run(cfg Config, op Op, size units.Size) (*Result, error) {
 		return nil, err
 	}
 	eng := sim.NewEngine()
-	defer eng.Close()
-	c := newComm(eng, cfg)
-	out := make([][]float64, len(cfg.Places))
-	for r := range out {
-		eng.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
-			out[r] = algo(c, p, r, size)
-			c.finish[r] = p.Now()
-		})
+	c := newComm(eng, cfg, algo, size)
+	err = eng.Run()
+	if err == nil && c.done < len(c.ranks) {
+		err = c.deadlock()
 	}
-	if err := eng.Run(); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("collectives: %s over %d ranks: %w", op, len(cfg.Places), err)
+	}
+	out := make([][]float64, len(c.ranks))
+	for r := range out {
+		out[r] = c.ranks[r].prog.out
 	}
 	if err := validate(op, cfg, out); err != nil {
 		return nil, err
@@ -404,7 +515,7 @@ func Run(cfg Config, op Op, size units.Size) (*Result, error) {
 }
 
 // check validates a run's inputs and returns its algorithm.
-func check(cfg Config, op Op, size units.Size) (func(*comm, *sim.Proc, int, units.Size) []float64, error) {
+func check(cfg Config, op Op, size units.Size) (algorithm, error) {
 	if err := checkConfig(cfg); err != nil {
 		return nil, err
 	}
@@ -471,7 +582,8 @@ func (c *comm) result(op Op, size units.Size, out [][]float64, st sim.Stats) *Re
 		Congestion:  c.net.Census(censusTop),
 	}
 	res.MinTime = units.Time(math.MaxInt64)
-	for _, f := range c.finish {
+	for i := range c.ranks {
+		f := c.ranks[i].finish
 		if f > res.Time {
 			res.Time = f
 		}
@@ -480,93 +592,6 @@ func (c *comm) result(op Op, size units.Size, out [][]float64, st sim.Stats) *Re
 		}
 	}
 	return res
-}
-
-// Spec pairs an operation with its payload size, for RunSequence.
-type Spec struct {
-	Op   Op
-	Size units.Size
-}
-
-// RunSequence runs several collectives back to back on ONE engine, with
-// all ranks rendezvousing on a sim.Group between operations so each
-// starts from a common simulated instant (the way benchmark loops
-// separate iterations with a barrier that costs nothing on the wire).
-// Per-operation times are measured from that common start.
-func RunSequence(cfg Config, specs []Spec) ([]*Result, error) {
-	if err := checkConfig(cfg); err != nil {
-		return nil, err
-	}
-	ranks := len(cfg.Places)
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("collectives: empty sequence")
-	}
-	algos := make([]func(*comm, *sim.Proc, int, units.Size) []float64, len(specs))
-	for i, s := range specs {
-		a, ok := algorithms[s.Op]
-		if !ok {
-			return nil, fmt.Errorf("collectives: unknown op %q (have %v)", s.Op, Ops())
-		}
-		algos[i] = a
-	}
-
-	eng := sim.NewEngine()
-	defer eng.Close()
-	group := sim.NewGroup(eng, "collective-phase", ranks)
-	comms := make([]*comm, len(specs))
-	for i := range specs {
-		comms[i] = newComm(eng, cfg)
-	}
-	starts := make([]units.Time, len(specs))
-	// marks[i] is the engine's dispatched-event count at operation i's
-	// release instant: the maximum over ranks of the count at arrival is
-	// exactly the count when the last rank arrives, before anything of
-	// the operation itself has dispatched.
-	marks := make([]int64, len(specs))
-	outs := make([][][]float64, len(specs))
-	for i := range outs {
-		outs[i] = make([][]float64, ranks)
-	}
-	for r := 0; r < ranks; r++ {
-		r := r
-		eng.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
-			for i := range specs {
-				if d := eng.Stats().Dispatched; d > marks[i] {
-					marks[i] = d
-				}
-				group.Arrive(p)
-				if r == 0 {
-					starts[i] = p.Now()
-				}
-				outs[i][r] = algos[i](comms[i], p, r, specs[i].Size)
-				comms[i].finish[r] = p.Now()
-			}
-		})
-	}
-	if err := eng.Run(); err != nil {
-		return nil, fmt.Errorf("collectives: sequence over %d ranks: %w", ranks, err)
-	}
-	st := eng.Stats()
-	results := make([]*Result, len(specs))
-	for i, s := range specs {
-		if err := validate(s.Op, cfg, outs[i]); err != nil {
-			return nil, err
-		}
-		// Per-op stats: Dispatched is the delta between release instants
-		// (rendezvous wake-ups charged to the op they start); calendar
-		// peak and proc counts stay whole-run.
-		opStats := st
-		if i+1 < len(specs) {
-			opStats.Dispatched = marks[i+1] - marks[i]
-		} else {
-			opStats.Dispatched = st.Dispatched - marks[i]
-		}
-		res := comms[i].result(s.Op, s.Size, outs[i], opStats)
-		res.Time -= starts[i]
-		res.MinTime -= starts[i]
-		results[i] = res
-	}
-	return results, nil
 }
 
 // validate checks each rank's final semantic payload against the

@@ -11,6 +11,18 @@ import (
 	"roadrunner/internal/units"
 )
 
+// script is a rank program that plays the given exchanges in order.
+func script(xs ...exchange) program {
+	return program{next: func() (exchange, bool) {
+		if len(xs) == 0 {
+			return exchange{}, false
+		}
+		x := xs[0]
+		xs = xs[1:]
+		return x, true
+	}}
+}
+
 // TestRunManyMatchesRun pins the batch contract: RunMany returns, at
 // every worker count, exactly the Result a lone Run of each request
 // produces, in request order.
@@ -48,31 +60,30 @@ func TestRunManyMatchesRun(t *testing.T) {
 	}
 }
 
-// TestRunManyFailures gives requests algorithms that deadlock or panic:
+// TestRunManyFailures gives requests programs that deadlock or panic:
 // each failure comes back as an error naming its request — the lowest
 // failed index at every worker count — instead of crashing the process,
 // and with one worker no request starts after the failed one.
 func TestRunManyFailures(t *testing.T) {
 	var started atomic.Int64
-	ops := map[Op]func(*comm, *sim.Proc, int, units.Size) []float64{
-		"test-deadlock": func(c *comm, p *sim.Proc, r int, size units.Size) []float64 {
+	ops := map[Op]algorithm{
+		"test-deadlock": func(r, n, root int, size units.Size) program {
 			if r == 1 {
-				p.Park("never woken")
+				return script(exchange{recv: true, src: 0, tag: 99})
 			}
-			return nil
+			return script()
 		},
-		"test-panic": func(c *comm, p *sim.Proc, r int, size units.Size) []float64 {
+		"test-panic": func(r, n, root int, size units.Size) program {
 			if r == 2 {
-				panic("boom")
+				return program{next: func() (exchange, bool) { panic("boom") }}
 			}
-			p.Park("parked under the panic") // torn down by Run's Close
-			return nil
+			return script(exchange{recv: true, src: 3, tag: 99}) // still waiting under the panic
 		},
-		"test-count": func(c *comm, p *sim.Proc, r int, size units.Size) []float64 {
+		"test-count": func(r, n, root int, size units.Size) program {
 			if r == 0 {
 				started.Add(1)
 			}
-			return algorithms[BarrierRecursiveDoubling](c, p, r, size)
+			return algorithms[BarrierRecursiveDoubling](r, n, root, size)
 		},
 	}
 	for op, algo := range ops {
@@ -94,7 +105,7 @@ func TestRunManyFailures(t *testing.T) {
 		if !errors.As(err, &d) || !strings.HasPrefix(err.Error(), "collectives: request 2: ") {
 			t.Fatalf("workers=%d: error %v, want request 2's *sim.DeadlockError", workers, err)
 		}
-		if len(d.Procs) != 1 || !strings.Contains(d.Procs[0], "rank1 (never woken)") {
+		if len(d.Procs) != 1 || !strings.Contains(d.Procs[0], "rank1 (recv from 0 tag 99)") {
 			t.Errorf("workers=%d: deadlocked procs %v", workers, d.Procs)
 		}
 

@@ -1,7 +1,10 @@
 package facility
 
 import (
+	"math"
+	"math/big"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -120,6 +123,38 @@ func TestRuntimeModels(t *testing.T) {
 	full := LinpackRuntime(3060).Seconds()
 	if full < 3600 || full > 6*3600 {
 		t.Errorf("full-machine linpack = %.0fs, want a few hours", full)
+	}
+}
+
+// TestMeanWaitPastInt64 averages queue waits whose sum passes the int64
+// picosecond range, as a long backlog's do: the mean stays between the
+// smallest and the largest wait and is the exact truncated mean, and
+// for sums that fit it equals sum/n.
+func TestMeanWaitPastInt64(t *testing.T) {
+	waits := make([]units.Time, 15000)
+	for i := range waits {
+		waits[i] = units.Time(math.MaxInt64/2 + int64(i)*7919)
+	}
+	waits[3] = 0
+	waits[7] = math.MaxInt64
+	lo, hi := slices.Min(waits), slices.Max(waits)
+	sum := new(big.Int)
+	for _, w := range waits {
+		sum.Add(sum, big.NewInt(int64(w)))
+	}
+	if sum.IsInt64() {
+		t.Fatal("waits sum within the int64 range — test is vacuous")
+	}
+	mean := meanTime(waits)
+	if mean < lo || mean > hi {
+		t.Errorf("mean wait %d outside [%d, %d]", mean, lo, hi)
+	}
+	if want := sum.Quo(sum, big.NewInt(int64(len(waits)))); big.NewInt(int64(mean)).Cmp(want) != 0 {
+		t.Errorf("mean wait %d, want %v", mean, want)
+	}
+	small := []units.Time{5, 0, 13, 1 << 40, 7}
+	if got, want := meanTime(small), (5+0+13+1<<40+7)/units.Time(len(small)); got != want {
+		t.Errorf("mean of %v = %d, want sum/n = %d", small, got, want)
 	}
 }
 

@@ -526,11 +526,7 @@ func (s *simulator) result(jobs []Job) (*Result, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("facility: no jobs completed")
 	}
-	var sum units.Time
-	for _, w := range waits {
-		sum += w
-	}
-	res.MeanWait = sum / units.Time(n)
+	res.MeanWait = meanTime(waits)
 	sort.Slice(waits, func(a, b int) bool { return waits[a] < waits[b] })
 	idx := int(math.Ceil(0.95*float64(n))) - 1
 	if idx < 0 {
@@ -553,6 +549,21 @@ func (s *simulator) result(jobs []Job) (*Result, error) {
 	}
 	res.Timeline = s.timeline
 	return res, nil
+}
+
+// meanTime returns the truncated mean of non-negative times. It sums the
+// quotients and the remainders by the count separately, so a long
+// backlog's waits — each up to the clock's int64 range — cannot
+// overflow the sum; the result equals sum/n exactly whenever the sum
+// fits.
+func meanTime(ts []units.Time) units.Time {
+	n := units.Time(len(ts))
+	var quo, rem units.Time
+	for _, t := range ts {
+		quo += t / n
+		rem += t % n
+	}
+	return quo + rem/n
 }
 
 // cusSpanned counts the distinct CUs of a grant.

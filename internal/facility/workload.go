@@ -119,6 +119,9 @@ func (w Workload) Generate(rt *TraceRuntime) ([]Job, error) {
 
 	rng := rand.New(rand.NewSource(w.Seed))
 	jobs := make([]Job, 0, w.Jobs)
+	// Sweep3D's per-iteration time simulates the SPE kernel program, so
+	// it is computed once per distinct node count.
+	sweepIter := map[int]units.Time{}
 	now := units.Time(0)
 	for id := 0; id < w.Jobs; id++ {
 		// Fixed draw order per job — class, size, iters, gap — so the
@@ -148,7 +151,10 @@ func (w Workload) Generate(rt *TraceRuntime) ([]Job, error) {
 		j.Iters = lo + rng.Intn(hi-lo+1)
 		switch spec.Class {
 		case ClassSweep3D:
-			j.Runtime = Sweep3DRuntime(j.Nodes, j.Iters)
+			if _, ok := sweepIter[j.Nodes]; !ok {
+				sweepIter[j.Nodes] = Sweep3DRuntime(j.Nodes, 1)
+			}
+			j.Runtime = sweepIter[j.Nodes] * units.Time(j.Iters)
 		case ClassLinpack:
 			j.Iters = 1
 			j.Runtime = LinpackRuntime(j.Nodes)

@@ -15,9 +15,9 @@
 // growth, and dispatching never touches the garbage collector. Procs ride
 // iter.Pull coroutines (direct runtime switches, no channel round trips)
 // and the live set is an intrusive list threaded through the Procs
-// themselves. Models whose actors never block — the trace replay's
-// event-driven rank walkers — schedule plain events and need no procs at
-// all. A finished engine can be Reset with its calendar slab retained,
+// themselves. Models whose actors never block — the event-driven rank
+// walkers of trace replay and of the collectives — schedule plain
+// events and need no procs at all. A finished engine can be Reset with its calendar slab retained,
 // so pooled callers (the replay evaluator) pay construction once per
 // search, not per evaluation. All of it matters because the experiment
 // orchestrator runs one engine per experiment across all CPUs at once,

@@ -28,7 +28,7 @@ import (
 // are dropped entirely under SkipCompute. Each rank's stream is walked
 // by an event-driven state machine (walker), not a sim proc, so an
 // evaluation spawns no goroutine and switches no coroutine; it allocates
-// only the result and a route handle per communicating rank pair.
+// only the result.
 //
 // Evaluate(places) is pinned byte-identical to a fresh Replay call with
 // the same config and placement (TestEvaluatorMatchesFreshReplay): the
@@ -45,13 +45,6 @@ type Evaluator struct {
 	walkers []walker // one per rank
 	deliver []func() // per-send delivery events, canonical send order
 	nSends  int
-
-	// pairs caches the transport PairPath per directed rank pair
-	// (src*ranks+dst), cleared at each Evaluate (the placement decides
-	// the node pair behind a rank pair). It drops even the transport's
-	// pair-cache map lookup from the per-message cost; nil for traces
-	// too wide for a dense table, where sends resolve the pair per call.
-	pairs []*transport.PairPath
 
 	// Per-evaluation state the walkers read.
 	places    []transport.Endpoint
@@ -207,11 +200,6 @@ func NewEvaluator(t *Trace, cfg ReplayConfig) (*Evaluator, error) {
 		}
 	}
 
-	// A dense rank-pair path table is only worth holding for realistic
-	// rank counts; beyond the bound each send resolves its pair.
-	if ranks*ranks <= 1<<22 {
-		e.pairs = make([]*transport.PairPath, ranks*ranks)
-	}
 	e.launch() // later evaluations relaunch after the engine reset
 	return e, nil
 }
@@ -345,19 +333,7 @@ func (w *walker) issue() {
 	e := w.e
 	o := &w.stream[w.pc]
 	w.stampStart(o)
-	src, dst := e.places[w.rank], e.places[o.peer]
-	var pp *transport.PairPath
-	if e.pairs == nil {
-		pp = e.net.PairPath(src.Node, dst.Node)
-	} else {
-		pi := w.rank*len(e.places) + int(o.peer)
-		pp = e.pairs[pi]
-		if pp == nil {
-			pp = e.net.PairPath(src.Node, dst.Node)
-			e.pairs[pi] = pp
-		}
-	}
-	w.x = e.net.StartTransfer(pp, src, dst, o.size, e.deliver[o.aux], w.stepFn)
+	w.x = e.net.StartTransfer(e.places[w.rank], e.places[o.peer], o.size, e.deliver[o.aux], w.stepFn)
 }
 
 // chained reports whether send o streams as a transfer chain;
@@ -402,7 +378,6 @@ func (e *Evaluator) Evaluate(places []transport.Endpoint) (*ReplayResult, error)
 	if e.used {
 		e.eng.Reset()
 		e.net.Reset()
-		clear(e.pairs) // the placement decides each rank pair's route
 		e.launch()
 	}
 	e.used = true

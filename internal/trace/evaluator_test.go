@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"roadrunner/internal/fabric"
 	"roadrunner/internal/ib"
@@ -150,13 +151,29 @@ func TestEvaluatorRejectsBadPlacement(t *testing.T) {
 	}
 }
 
+// settledGoroutines returns the goroutine count once it has stopped
+// falling — a goroutine an earlier test started may still be exiting —
+// polling for at most about a second.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		time.Sleep(10 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m >= n {
+			return m
+		}
+		n = m
+	}
+	return n
+}
+
 // TestEvaluatorRunsNoGoroutines: the rank walkers are calendar events,
 // not coroutine procs, so building an evaluator and running it leaves
 // the goroutine count where it was.
 func TestEvaluatorRunsNoGoroutines(t *testing.T) {
 	fab := fabric.NewScaled(1)
 	tr := meshTrace(t, 16, 32*units.KB)
-	before := runtime.NumGoroutine()
+	before := settledGoroutines()
 	ev, err := NewEvaluator(tr, ReplayConfig{Fabric: fab, Profile: ib.OpenMPI(), Policy: transport.Congested()})
 	if err != nil {
 		t.Fatal(err)

@@ -330,9 +330,9 @@ func TestEvaluateManyFailures(t *testing.T) {
 			t.Errorf("workers=%d: bad core: error %v, want placement 2's", workers, err)
 		}
 
-		// An empty rank-pair route table: the first inter-node send
-		// indexes past it and panics inside the walker.
-		tamper(func(ev *Evaluator) { ev.pairs = []*transport.PairPath{} })
+		// A transport with no engine: the first inter-node send's chain
+		// start schedules on it and panics inside the walker.
+		tamper(func(ev *Evaluator) { ev.net = transport.New(nil, fab, ib.OpenMPI(), cfg.Policy) })
 		_, err = pool.EvaluateMany([][]transport.Endpoint{oneNode, good, oneNode, good}, workers)
 		if err == nil || !strings.HasPrefix(err.Error(), "trace: replay placement 1: panic: ") {
 			t.Errorf("workers=%d: walker panic: error %v, want placement 1's panic", workers, err)

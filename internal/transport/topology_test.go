@@ -45,9 +45,9 @@ func TestRouteCacheSizedByTopology(t *testing.T) {
 	if xp.fabLat != want {
 		t.Errorf("torus xpath fabric latency %v, want %v", xp.fabLat, want)
 	}
-	if len(xp.states) != fab.Hops(src, dst)-1 {
+	if len(net.linkIDs(xp)) != fab.Hops(src, dst)-1 {
 		t.Errorf("torus xpath carries %d interior links, want %d (one per router-to-router cable)",
-			len(xp.states), fab.Hops(src, dst)-1)
+			len(net.linkIDs(xp)), fab.Hops(src, dst)-1)
 	}
 }
 
@@ -76,8 +76,8 @@ func TestCacheHitNeverCrossesTopologies(t *testing.T) {
 		for _, l := range fab.Route(src, dst) {
 			route[l.Key()] = true
 		}
-		for _, st := range xp.states {
-			if !route[st.link.Key()] {
+		for _, id := range net.linkIDs(xp) {
+			if st := net.states[id]; !route[st.link.Key()] {
 				t.Errorf("%s: cache holds link %v that is not on this topology's route", name, st.link)
 			}
 		}

@@ -83,45 +83,38 @@ type linkState struct {
 	bytes units.Size
 }
 
-// xbarPathInlineLinks is the most fabric-interior (admission-controlled)
-// links a fat-tree route carries: cross-side, different crossbar index —
-// uplink up, four switch-internal segments, uplink down. Node-port
-// cables are excluded from admission (see Pending.admit), and in-CU
-// routes carry at most two spine segments. Longer-diameter topologies
-// (the torus) spill past the inline array into a heap slice, paid once
-// per cache entry at derive time.
-const xbarPathInlineLinks = 6
-
 // xbarPath is the cached routing work shared by every source node of one
 // cache row toward one destination node: the hop-latency term, the
 // rendezvous round trip, and — with congestion enabled — the route's
-// fabric-interior link states already resolved and sorted into the
-// global acquisition order. Rows are keyed by the topology's CacheKey,
-// whose contract (two sources with one key share every route interior)
-// is exactly what makes the shared entry exact: the fat-tree keys by
-// line crossbar — 408 crossbars x 3,060 nodes ≈ 1.2M value-typed
-// entries in dense rows, where the former per-pair map held 9.4M heap
-// entries whose GC footprint dominated full-machine sweeps — while the
-// per-node-router torus keys by node.
+// fabric-interior links already resolved and sorted into the global
+// acquisition order. Rows are keyed by the topology's CacheKey, whose
+// contract (two sources with one key share every route interior) is
+// exactly what makes the shared entry exact: the fat-tree keys by line
+// crossbar — 408 crossbars x 3,060 nodes ≈ 1.2M value-typed entries in
+// dense rows — while the per-node-router torus keys by node.
+//
+// The entry holds no pointer: its links are a span of the net's
+// route-link table, whose ids index the net's link states, so the rows
+// are 32-byte plain values that the garbage collector never scans,
+// however many a full-machine sweep derives.
 type xbarPath struct {
 	fabLat   units.Time // hop count x hop latency
 	rdvExtra units.Time // rendezvous round trip above the eager threshold
-	hops     int        // crossbar traversals on the route (len(route)-1)
-	derived  bool
-	// states is the route's admission-controlled links in acquisition
-	// order, backed by inline until a route outgrows it.
-	states []*linkState
-	inline [xbarPathInlineLinks]*linkState
+	hops     int32      // crossbar traversals on the route (len(route)-1)
+	// The route's admission-controlled link ids, in acquisition order,
+	// are Net.routeLinks[off : off+nlinks].
+	off     int32
+	nlinks  uint16
+	derived bool
 }
 
 // PairPath is the resolved routing work for one directed (src, dst) node
-// pair: the shared crossbar-granular route entry plus the endpoint
-// adapters. Callers that key transfers by an index of their own (the
-// replay evaluator holds one per rank pair) resolve it once and skip
-// every per-message lookup.
+// pair: the shared crossbar-granular route entry and the net whose link
+// table its ids index. It is a small value; resolving one allocates
+// nothing.
 type PairPath struct {
-	xp       *xbarPath
-	src, dst *ib.HCA // endpoint adapters
+	n  *Net
+	xp *xbarPath
 }
 
 // Net is the per-engine transport instance: it owns the node HCAs and
@@ -132,11 +125,13 @@ type Net struct {
 	prof ib.Profile
 	pol  Policy
 
-	hcas   []*ib.HCA // by destination global node id, nil until used
-	links  map[uint64]*linkState
-	xpaths [][]xbarPath  // by source cache key (fabric CacheKey), rows nil until used
-	rbuf   []fabric.Link // route scratch, sized to the topology's MaxRouteLen
-	xfers  *Pending      // free list of chained-transfer state machines
+	hcas       []*ib.HCA        // by destination global node id, nil until used
+	links      map[uint64]int32 // link key -> id in states
+	states     []*linkState     // by link id, in first-use order
+	xpaths     [][]xbarPath     // by source cache key (fabric CacheKey), rows nil until used
+	routeLinks []int32          // every cached route's link ids, one span per entry
+	rbuf       []fabric.Link    // route scratch, sized to the topology's MaxRouteLen
+	xfers      *Pending         // free list of chained-transfer state machines
 
 	msgs int64
 	wire units.Size
@@ -157,7 +152,7 @@ func New(eng *sim.Engine, fab *fabric.System, prof ib.Profile, pol Policy) *Net 
 		rbuf:   make([]fabric.Link, 0, fab.MaxRouteLen()),
 	}
 	if pol.Enabled {
-		n.links = make(map[uint64]*linkState)
+		n.links = make(map[uint64]int32)
 	}
 	return n
 }
@@ -171,7 +166,7 @@ func New(eng *sim.Engine, fab *fabric.System, prof ib.Profile, pol Policy) *Net 
 func (n *Net) Reset() {
 	n.msgs = 0
 	n.wire = 0
-	for _, st := range n.links {
+	for _, st := range n.states {
 		st.msgs = 0
 		st.bytes = 0
 		st.res.ResetStats()
@@ -205,24 +200,33 @@ func (n *Net) Messages() int64 { return n.msgs }
 // (intra-node messages excluded).
 func (n *Net) WireBytes() units.Size { return n.wire }
 
-// state returns (creating on first use) the link's channel state.
-func (n *Net) state(l fabric.Link) *linkState {
+// linkID returns (creating on first use) the id of the link's channel
+// state.
+func (n *Net) linkID(l fabric.Link) int32 {
 	k := l.Key()
-	st, ok := n.links[k]
+	id, ok := n.links[k]
 	if !ok {
 		capacity := n.pol.Channels
 		if capacity <= 0 {
 			capacity = unlimited
 		}
-		st = &linkState{link: l, res: sim.NewResource(n.eng, l.String(), capacity)}
-		n.links[k] = st
+		id = int32(len(n.states))
+		n.states = append(n.states, &linkState{link: l, res: sim.NewResource(n.eng, l.String(), capacity)})
+		n.links[k] = id
 	}
-	return st
+	return id
+}
+
+// linkIDs returns a cache entry's admission-controlled link ids in
+// acquisition order.
+func (n *Net) linkIDs(xp *xbarPath) []int32 {
+	end := xp.off + int32(xp.nlinks)
+	return n.routeLinks[xp.off:end:end]
 }
 
 // xpath returns (deriving on first use) the cached routing work from
 // src's cache row to dst: hop latency, rendezvous cost and — with
-// congestion on — the route's fabric-interior link states already
+// congestion on — the ids of the route's fabric-interior links already
 // sorted into the global acquisition order. Every source node of one
 // cache key shares the entry, which the topology's CacheKey contract
 // makes exact (the node-port cable, the only per-node link, is
@@ -242,26 +246,24 @@ func (n *Net) xpath(src, dst fabric.NodeID) *xbarPath {
 		route := n.fab.RouteInto(n.rbuf[:0], src, dst)
 		// len(Route) == Hops+1 for distinct nodes, pinned by the fabric
 		// route tests.
-		xp.hops = len(route) - 1
+		xp.hops = int32(len(route) - 1)
 		xp.fabLat = units.Time(xp.hops) * pr.HopLatency
 		xp.rdvExtra = 2 * (2*pr.PerSideOverhead + xp.fabLat)
+		xp.off = int32(len(n.routeLinks))
 		if n.pol.Enabled {
-			// Fat-tree interiors fit inline; longer routes (torus) let
-			// append spill to the heap, once per entry.
-			xp.states = xp.inline[:0]
 			for _, l := range route {
-				if l.Kind == fabric.LinkNodePort {
-					continue
+				if l.Kind != fabric.LinkNodePort {
+					n.routeLinks = append(n.routeLinks, n.linkID(l))
 				}
-				xp.states = append(xp.states, n.state(l))
 			}
 			// Insertion sort by key: short, and routes arrive near-sorted.
-			st := xp.states
-			for i := 1; i < len(st); i++ {
-				for j := i; j > 0 && st[j].link.Key() < st[j-1].link.Key(); j-- {
-					st[j], st[j-1] = st[j-1], st[j]
+			ids := n.routeLinks[xp.off:]
+			for i := 1; i < len(ids); i++ {
+				for j := i; j > 0 && n.states[ids[j]].link.Key() < n.states[ids[j-1]].link.Key(); j-- {
+					ids[j], ids[j-1] = ids[j-1], ids[j]
 				}
 			}
+			xp.nlinks = uint16(len(ids))
 		}
 		xp.derived = true
 	}
@@ -286,8 +288,7 @@ func (n *Net) Transfer(p *sim.Proc, src, dst Endpoint, size units.Size, deliver 
 		n.eng.Schedule(after, deliver)
 		return
 	}
-	x := n.startTransfer(n.xpath(src.Node, dst.Node), n.HCA(src.Node), n.HCA(dst.Node),
-		src, dst, size, deliver, p.Resumer())
+	x := n.StartTransfer(src, dst, size, deliver, p.Resumer())
 	p.Park("transfer")
 	n.FinishTransfer(x)
 }
@@ -307,30 +308,27 @@ func (n *Net) ShortTransfer(src, dst Endpoint, size units.Size) (send, after uni
 }
 
 // PairPath resolves the routing work for a directed inter-node pair, for
-// callers that key transfers by an index of their own (the replay
-// evaluator holds one per rank pair) and skip every per-message lookup.
-// The underlying route entry is shared crossbar-granular cache state;
-// the returned handle itself is built per call, so callers should hold
-// it rather than re-resolve per message. src and dst must be distinct
-// nodes.
-func (n *Net) PairPath(src, dst fabric.NodeID) *PairPath {
+// analytic models that read a route's timing terms and admission links
+// (internal/surrogate). The underlying route entry is shared
+// crossbar-granular cache state. src and dst must be distinct nodes.
+func (n *Net) PairPath(src, dst fabric.NodeID) PairPath {
 	if src == dst {
 		panic("transport: PairPath of an intra-node pair")
 	}
-	return &PairPath{xp: n.xpath(src, dst), src: n.HCA(src), dst: n.HCA(dst)}
+	return PairPath{n: n, xp: n.xpath(src, dst)}
 }
 
 // Hops returns the route's crossbar traversal count (fabric.Route hops).
-func (pp *PairPath) Hops() int { return pp.xp.hops }
+func (pp PairPath) Hops() int { return int(pp.xp.hops) }
 
 // FabricLatency returns the route's pure hop-latency term (hops x the
 // profile's per-hop latency).
-func (pp *PairPath) FabricLatency() units.Time { return pp.xp.fabLat }
+func (pp PairPath) FabricLatency() units.Time { return pp.xp.fabLat }
 
 // RendezvousExtra returns the rendezvous round-trip cost a message above
 // the eager threshold pays before admission: two software-overhead-plus-
 // fabric traversals each way.
-func (pp *PairPath) RendezvousExtra() units.Time { return pp.xp.rdvExtra }
+func (pp PairPath) RendezvousExtra() units.Time { return pp.xp.rdvExtra }
 
 // AdmissionLinks appends the route's admission-controlled links — the
 // fabric-interior cables, node ports excluded — to buf in the exact
@@ -339,31 +337,33 @@ func (pp *PairPath) RendezvousExtra() units.Time { return pp.xp.rdvExtra }
 // set is empty: no link state exists to acquire. Analytic models that
 // fold offered load over the route (internal/surrogate) depend on this
 // order and membership; the per-topology PairPath tests pin both.
-func (pp *PairPath) AdmissionLinks(buf []fabric.Link) []fabric.Link {
-	for _, st := range pp.xp.states {
-		buf = append(buf, st.link)
+func (pp PairPath) AdmissionLinks(buf []fabric.Link) []fabric.Link {
+	for _, id := range pp.n.linkIDs(pp.xp) {
+		buf = append(buf, pp.n.states[id].link)
 	}
 	return buf
 }
 
-// StartTransfer begins a payload-carrying transfer as an event chain and
-// returns its handle: software overhead, rendezvous, link admission and
-// every HCA chunk are scheduled events, and the last chunk's interval
-// ends by scheduling then, the caller's continuation, which must run
-// FinishTransfer. Safe from event context; size must be positive.
-func (n *Net) StartTransfer(pp *PairPath, src, dst Endpoint, size units.Size, deliver, then func()) *Pending {
-	return n.startTransfer(pp.xp, pp.src, pp.dst, src, dst, size, deliver, then)
-}
-
-func (n *Net) startTransfer(xp *xbarPath, hsrc, hdst *ib.HCA, src, dst Endpoint, size units.Size, deliver, then func()) *Pending {
+// StartTransfer begins a payload-carrying transfer between distinct nodes
+// as an event chain and returns its handle: software overhead,
+// rendezvous, link admission and every HCA chunk are scheduled events,
+// and the last chunk's interval ends by scheduling then, the caller's
+// continuation, which must run FinishTransfer. It is the one start of
+// every chain — the blocking Transfer's and those of the event-driven
+// rank walkers of trace replay and the collectives — and allocates
+// nothing once the route is cached and the net's free list holds a
+// chain. Safe from event context; size must be positive.
+func (n *Net) StartTransfer(src, dst Endpoint, size units.Size, deliver, then func()) *Pending {
+	xp := n.xpath(src.Node, dst.Node)
 	n.msgs++
-	pr := n.prof
+	pr := &n.prof
 	n.wire += size
 	x := n.getXfer()
 	x.then = then
-	x.xp = xp
-	x.hsrc = hsrc
-	x.hdst = hdst
+	x.links = n.linkIDs(xp)
+	x.fabLat = xp.fabLat
+	x.hsrc = n.HCA(src.Node)
+	x.hdst = n.HCA(dst.Node)
 	x.deliver = deliver
 	x.pairBW = pr.PairBandwidth(src.Core, dst.Core)
 	x.size = size
@@ -387,8 +387,10 @@ func (n *Net) startTransfer(xp *xbarPath, hsrc, hdst *ib.HCA, src, dst Endpoint,
 // continuation; the handle is recycled.
 func (n *Net) FinishTransfer(x *Pending) {
 	ib.EndBetween(x.hsrc, x.hdst)
-	release(x.xp.states)
-	n.eng.Schedule(x.xp.fabLat+n.prof.PerSideOverhead, x.deliver)
+	for _, id := range x.links {
+		n.states[id].res.Release(1)
+	}
+	n.eng.Schedule(x.fabLat+n.prof.PerSideOverhead, x.deliver)
 	n.putXfer(x)
 }
 
@@ -403,8 +405,9 @@ const (
 // the net's free list, so a steady-state transfer allocates nothing.
 type Pending struct {
 	n          *Net
-	then       func() // continuation the last interval schedules
-	xp         *xbarPath
+	then       func()  // continuation the last interval schedules
+	links      []int32 // the route's admission-controlled link ids, acquisition order
+	fabLat     units.Time
 	hsrc, hdst *ib.HCA
 	deliver    func()
 	pairBW     units.Bandwidth
@@ -441,9 +444,8 @@ func (x *Pending) step() {
 // Gating it here too would bill the same copper twice; the transport
 // owns the crossbar-to-crossbar tiers the HCA cannot see.
 func (x *Pending) admit() {
-	states := x.xp.states
-	for x.linkIdx < len(states) {
-		st := states[x.linkIdx]
+	for x.linkIdx < len(x.links) {
+		st := x.n.states[x.links[x.linkIdx]]
 		if !st.res.AcquireFn(1, x.contFn) {
 			return // queued; contFn continues from this link
 		}
@@ -477,7 +479,7 @@ func (n *Net) getXfer() *Pending {
 		x = &Pending{n: n}
 		x.stepFn = x.step
 		x.contFn = func() {
-			st := x.xp.states[x.linkIdx]
+			st := n.states[x.links[x.linkIdx]]
 			st.msgs++
 			st.bytes += x.size
 			x.linkIdx++
@@ -493,19 +495,12 @@ func (n *Net) getXfer() *Pending {
 // putXfer returns a finished transfer to the pool.
 func (n *Net) putXfer(x *Pending) {
 	x.then = nil
-	x.xp = nil
+	x.links = nil
 	x.hsrc = nil
 	x.hdst = nil
 	x.deliver = nil
 	x.free = n.xfers
 	n.xfers = x
-}
-
-// release returns every held channel.
-func release(states []*linkState) {
-	for _, st := range states {
-		st.res.Release(1)
-	}
 }
 
 // LinkUsage reports one link channel's traffic and occupancy.
@@ -558,10 +553,10 @@ type Census struct {
 // Hotter is the census ranking: total wait first, bytes carried second,
 // and — so that the top-N output is fully deterministic under ties —
 // the link's total order (Key) as the final criterion. The census
-// gathers links from a map, whose iteration order varies run to run;
-// because Hotter is a strict total order (no two distinct links share a
-// Key), the sorted output is identical regardless of input order, which
-// the equal-occupancy regression test pins.
+// gathers links in the order the run first used them; because Hotter is
+// a strict total order (no two distinct links share a Key), the sorted
+// output is identical regardless of input order, which the
+// equal-occupancy regression test pins.
 func Hotter(a, b LinkUsage) bool {
 	if a.Wait != b.Wait {
 		return a.Wait > b.Wait
@@ -586,9 +581,9 @@ func (n *Net) Census(top int) *Census {
 		top = 0
 	}
 	c := &Census{Horizon: n.eng.Now()}
-	all := make([]LinkUsage, 0, len(n.links))
+	all := make([]LinkUsage, 0, len(n.states))
 	var uplinks []LinkUsage
-	for _, st := range n.links {
+	for _, st := range n.states {
 		if st.msgs == 0 {
 			continue
 		}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"reflect"
 	"testing"
 
 	"roadrunner/internal/fabric"
@@ -325,5 +326,26 @@ func TestHotterTotalOrder(t *testing.T) {
 	}
 	if Hotter(u(la, 5, 100), u(la, 5, 100)) {
 		t.Error("Hotter must be irreflexive")
+	}
+}
+
+// TestRouteCacheEntryHoldsNoPointer pins the route cache's memory
+// contract: an entry is a plain value (link ids, not link pointers), so
+// the dense rows — over a million entries on the full machine — cost the
+// garbage collector's mark phase nothing.
+func TestRouteCacheEntryHoldsNoPointer(t *testing.T) {
+	typ := reflect.TypeOf(xbarPath{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		switch k := f.Type.Kind(); k {
+		case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Interface, reflect.Func,
+			reflect.Chan, reflect.String, reflect.UnsafePointer:
+			t.Errorf("xbarPath.%s is a %s", f.Name, k)
+		case reflect.Array, reflect.Struct:
+			t.Errorf("xbarPath.%s is a %s; check it for pointers", f.Name, k)
+		}
+	}
+	if size := typ.Size(); size > 32 {
+		t.Errorf("xbarPath is %d bytes, want at most 32", size)
 	}
 }
