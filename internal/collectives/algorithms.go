@@ -55,17 +55,23 @@ type exchange struct {
 	into       int
 }
 
-func sendRecv(dst, src, tag int, size units.Size, data payload, fold uint8, into int) exchange {
-	return exchange{send: true, recv: true, dst: dst, src: src, tag: tag, size: size, data: data,
-		fold: fold, into: into}
+// sendRecv makes x a send to dst then a recv from src on one tag. It
+// stores field by field: the hot programs (ring passes, alltoall) fill
+// their rank's exchange in place once per step, never copying a whole
+// exchange.
+func (x *exchange) sendRecv(dst, src, tag int, size units.Size, data payload, fold uint8, into int) {
+	x.send, x.recv = true, true
+	x.dst, x.src, x.tag = dst, src, tag
+	x.size, x.data = size, data
+	x.fold, x.into = fold, into
 }
 
-// program is one rank's side of a collective algorithm: next generates
-// the rank's exchanges one at a time from a few words of state, and
-// returns false once the rank is done; out is the semantic vector the
-// recvs fold into, and the rank's final payload.
+// program is one rank's side of a collective algorithm: next fills x
+// with the rank's next exchange, generated from a few words of state,
+// and returns false once the rank is done; out is the semantic vector
+// the recvs fold into, and the rank's final payload.
 type program struct {
-	next func() (exchange, bool)
+	next func(x *exchange) bool
 	out  []float64
 }
 
@@ -144,17 +150,19 @@ func bcastBinomial(r, n, root int, size units.Size) program {
 		h *= 2
 	}
 	recvd := rel == 0
-	return program{out: data, next: func() (exchange, bool) {
+	return program{out: data, next: func(x *exchange) bool {
 		if !recvd {
 			recvd = true
-			return exchange{recv: true, src: (rel - h/2 + root) % n, tag: tagBcast, fold: setVec}, true
+			*x = exchange{recv: true, src: (rel - h/2 + root) % n, tag: tagBcast, fold: setVec}
+			return true
 		}
 		if rel+h >= n {
-			return exchange{}, false
+			return false
 		}
 		dst := (rel + h + root) % n
 		h *= 2
-		return exchange{send: true, dst: dst, tag: tagBcast, size: size, data: payload{vec: data}}, true
+		*x = exchange{send: true, dst: dst, tag: tagBcast, size: size, data: payload{vec: data}}
+		return true
 	}}
 }
 
@@ -165,14 +173,14 @@ func bcastBinomial(r, n, root int, size units.Size) program {
 // overhead and hop latency per round.
 func barrierRecursiveDoubling(r, n, _ int, _ units.Size) program {
 	k := 0
-	return program{next: func() (exchange, bool) {
+	return program{next: func(x *exchange) bool {
 		dist := 1 << k
 		if dist >= n {
-			return exchange{}, false
+			return false
 		}
-		x := sendRecv((r+dist)%n, (r-dist+n)%n, tagStep+k, 0, payload{}, foldNone, 0)
+		x.sendRecv((r+dist)%n, (r-dist+n)%n, tagStep+k, 0, payload{}, foldNone, 0)
 		k++
-		return x, true
+		return true
 	}}
 }
 
@@ -181,12 +189,13 @@ func barrierRecursiveDoubling(r, n, _ int, _ units.Size) program {
 // payload. Latency-optimal for small messages; bandwidth-poor for large
 // ones (every round retransmits everything).
 func allreduceRecursiveDoubling(r, n, _ int, size units.Size) program {
-	return allreduce(r, n, size, func(f *reduction, i int) (exchange, bool) {
+	return allreduce(r, n, size, func(f *reduction, i int, x *exchange) bool {
 		if i == f.rounds {
-			return exchange{}, false
+			return false
 		}
 		partner := realRank(f.newrank^(1<<i), f.rem)
-		return sendRecv(partner, partner, tagStep+i, size, payload{vec: cloneSlice(f.vec)}, addVec, 0), true
+		x.sendRecv(partner, partner, tagStep+i, size, payload{vec: cloneSlice(f.vec)}, addVec, 0)
+		return true
 	})
 }
 
@@ -196,9 +205,9 @@ func allreduceRecursiveDoubling(r, n, _ int, size units.Size) program {
 // instead of recursive doubling's size*log2(P) — the large-message
 // algorithm of the MPICH/Open MPI lineage.
 func allreduceRabenseifner(r, n, _ int, size units.Size) program {
-	return allreduce(r, n, size, func(f *reduction, i int) (exchange, bool) {
+	return allreduce(r, n, size, func(f *reduction, i int, x *exchange) bool {
 		if i == 2*f.rounds {
-			return exchange{}, false
+			return false
 		}
 		if i < f.rounds {
 			// Halving round i: keep one half of the range, ship the other.
@@ -208,8 +217,9 @@ func allreduceRabenseifner(r, n, _ int, size units.Size) program {
 			if !lv.keptLow {
 				sendLo, sendHi, sendV, recvLo = lv.lo, lv.mid, lv.vmid-lv.vlo, lv.mid
 			}
-			return sendRecv(partner, partner, tagStep+i, sizeFrac(size, sendV, f.pof2),
-				payload{vec: cloneSlice(f.vec[sendLo:sendHi])}, addVec, recvLo), true
+			x.sendRecv(partner, partner, tagStep+i, sizeFrac(size, sendV, f.pof2),
+				payload{vec: cloneSlice(f.vec[sendLo:sendHi])}, addVec, recvLo)
+			return true
 		}
 		// Allgather mirrors the halvings innermost-out: at each level the
 		// pair exchanges owned ranges, doubling what both hold.
@@ -220,8 +230,9 @@ func allreduceRabenseifner(r, n, _ int, size units.Size) program {
 		if !lv.keptLow {
 			ownLo, ownHi, ownV, otherLo = lv.mid, lv.hi, lv.vhi-lv.vmid, lv.lo
 		}
-		return sendRecv(partner, partner, tagGather+i, sizeFrac(size, ownV, f.pof2),
-			payload{vec: cloneSlice(f.vec[ownLo:ownHi])}, setVec, otherLo), true
+		x.sendRecv(partner, partner, tagGather+i, sizeFrac(size, ownV, f.pof2),
+			payload{vec: cloneSlice(f.vec[ownLo:ownHi])}, setVec, otherLo)
+		return true
 	})
 }
 
@@ -236,10 +247,10 @@ type reduction struct {
 	vec                        []float64
 }
 
-// allreduce builds rank r's vector allreduce: the fold down, phase(f, i)
-// for the power-of-two phase's exchange i until it returns false, then
-// the fold up.
-func allreduce(r, n int, size units.Size, phase func(f *reduction, i int) (exchange, bool)) program {
+// allreduce builds rank r's vector allreduce: the fold down, phase(f, i,
+// x) filling the power-of-two phase's exchange i until it returns false,
+// then the fold up.
+func allreduce(r, n int, size units.Size, phase func(f *reduction, i int, x *exchange) bool) program {
 	pof2 := floorPow2(n)
 	f := &reduction{rem: n - pof2, pof2: pof2, rounds: bits.Len(uint(pof2)) - 1,
 		newrank: r - (n - pof2), vec: make([]float64, semanticLen)}
@@ -254,30 +265,32 @@ func allreduce(r, n int, size units.Size, phase func(f *reduction, i int) (excha
 		}
 	}
 	down, i, up := inFold, 0, inFold
-	return program{out: f.vec, next: func() (exchange, bool) {
+	return program{out: f.vec, next: func(x *exchange) bool {
 		if down {
 			down = false
 			if even {
-				return exchange{send: true, dst: r + 1, tag: tagFold, size: size,
-					data: payload{vec: cloneSlice(f.vec)}}, true
+				*x = exchange{send: true, dst: r + 1, tag: tagFold, size: size,
+					data: payload{vec: cloneSlice(f.vec)}}
+			} else {
+				*x = exchange{recv: true, src: r - 1, tag: tagFold, fold: addVec}
 			}
-			return exchange{recv: true, src: r - 1, tag: tagFold, fold: addVec}, true
+			return true
 		}
-		if f.newrank >= 0 {
-			if x, ok := phase(f, i); ok {
-				i++
-				return x, true
-			}
+		if f.newrank >= 0 && phase(f, i, x) {
+			i++
+			return true
 		}
 		if up {
 			up = false
 			if even {
-				return exchange{recv: true, src: r + 1, tag: tagUnfold, fold: setVec}, true
+				*x = exchange{recv: true, src: r + 1, tag: tagUnfold, fold: setVec}
+			} else {
+				*x = exchange{send: true, dst: r - 1, tag: tagUnfold, size: size,
+					data: payload{vec: cloneSlice(f.vec)}}
 			}
-			return exchange{send: true, dst: r - 1, tag: tagUnfold, size: size,
-				data: payload{vec: cloneSlice(f.vec)}}, true
+			return true
 		}
-		return exchange{}, false
+		return false
 	}}
 }
 
@@ -323,12 +336,7 @@ func allreduceRing(r, n, _ int, size units.Size) program {
 	// Then the allgather circulates the finished segments.
 	reduce := ring(r, n, 0, tagStep, sizeFrac(size, 1, n), addVal, vec)
 	gather := ring(r, n, 1, tagGather, sizeFrac(size, 1, n), setVal, vec)
-	return program{out: vec, next: func() (exchange, bool) {
-		if x, ok := reduce(); ok {
-			return x, true
-		}
-		return gather()
-	}}
+	return program{out: vec, next: func(x *exchange) bool { return reduce(x) || gather(x) }}
 }
 
 // allgatherRing circulates each rank's block around the ring: P-1 steps
@@ -342,16 +350,16 @@ func allgatherRing(r, n, _ int, size units.Size) program {
 // ring generates one ring pass of n-1 steps: in step s rank r sends
 // segment (r+off-s) mod n to its successor and receives segment
 // (r+off-s-1) mod n from its predecessor, folded in as how says.
-func ring(r, n, off, tag int, size units.Size, how uint8, vec []float64) func() (exchange, bool) {
+func ring(r, n, off, tag int, size units.Size, how uint8, vec []float64) func(x *exchange) bool {
 	s := 0
-	return func() (exchange, bool) {
+	return func(x *exchange) bool {
 		if s >= n-1 {
-			return exchange{}, false
+			return false
 		}
-		x := sendRecv((r+1)%n, (r-1+n)%n, tag+s, size,
+		x.sendRecv((r+1)%n, (r-1+n)%n, tag+s, size,
 			payload{val: vec[mod(r+off-s, n)]}, how, mod(r+off-s-1, n))
 		s++
-		return x, true
+		return true
 	}
 }
 
@@ -363,12 +371,13 @@ func alltoallPairwise(r, n, _ int, size units.Size) program {
 	out := make([]float64, n)
 	out[r] = contribution(r, r)
 	k := 0
-	return program{out: out, next: func() (exchange, bool) {
+	return program{out: out, next: func(x *exchange) bool {
 		k++
 		if k >= n {
-			return exchange{}, false
+			return false
 		}
 		dst, src := (r+k)%n, (r-k+n)%n
-		return sendRecv(dst, src, tagStep+k, size, payload{val: contribution(r, dst)}, setVal, src), true
+		x.sendRecv(dst, src, tagStep+k, size, payload{val: contribution(r, dst)}, setVal, src)
+		return true
 	}}
 }

@@ -367,14 +367,12 @@ func (w *rank) run() {
 			w.x.recv = false
 			w.fold(in)
 		}
-		x, ok := w.prog.next()
-		if !ok {
+		if !w.prog.next(&w.x) {
 			w.finish = w.c.eng.Now()
 			w.c.done++
 			return
 		}
-		w.x = x
-		if x.send {
+		if w.x.send {
 			w.send()
 			return
 		}

@@ -13,13 +13,13 @@ import (
 
 // script is a rank program that plays the given exchanges in order.
 func script(xs ...exchange) program {
-	return program{next: func() (exchange, bool) {
+	return program{next: func(x *exchange) bool {
 		if len(xs) == 0 {
-			return exchange{}, false
+			return false
 		}
-		x := xs[0]
+		*x = xs[0]
 		xs = xs[1:]
-		return x, true
+		return true
 	}}
 }
 
@@ -75,7 +75,7 @@ func TestRunManyFailures(t *testing.T) {
 		},
 		"test-panic": func(r, n, root int, size units.Size) program {
 			if r == 2 {
-				return program{next: func() (exchange, bool) { panic("boom") }}
+				return program{next: func(*exchange) bool { panic("boom") }}
 			}
 			return script(exchange{recv: true, src: 3, tag: 99}) // still waiting under the panic
 		},

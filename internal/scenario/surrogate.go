@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"time"
 
 	"roadrunner/internal/fabric"
@@ -314,9 +315,12 @@ func surrogateTwoTier(tr *trace.Trace) (*SurrogateTwoTier, error) {
 // demand and never enter archived artifacts; the experiment asserts
 // only the floor.
 type SurrogateSpeed struct {
+	// DESPerEval and SurrogatePerEval are the medians of the rounds.
 	DESPerEval       time.Duration
 	SurrogatePerEval time.Duration
-	Speedup          float64
+	Speedup          float64 // DESPerEval / SurrogatePerEval
+	// The per-eval cost each round measured, in round order.
+	DESRounds, SurrogateRounds []time.Duration
 }
 
 // SurrogateSpeedFloor is the screening speedup the surrogate-xval
@@ -327,8 +331,17 @@ type SurrogateSpeed struct {
 // check robust on loaded CI runners.
 const SurrogateSpeedFloor = 3.0
 
+// speedRounds is how many rounds MeasureSurrogateSpeed times. On a
+// shared host one reading of each tier puts the ratio anywhere from
+// below the floor to twice it; a load spike during one round moves the
+// medians little.
+const speedRounds = 9
+
 // MeasureSurrogateSpeed times both tiers on the same congested
-// placement after a warm-up evaluation each.
+// placement after a warm-up evaluation each. Each round times 10 DES
+// replays and 100 prices, alternating one replay with ten prices, so
+// load on the host slows both tiers of a round alike; the speedup is
+// the ratio of the two tiers' medians over the rounds.
 func MeasureSurrogateSpeed(tr *trace.Trace) (*SurrogateSpeed, error) {
 	fab, err := fabric.NewTopology(fabric.DefaultTopology)
 	if err != nil {
@@ -355,22 +368,36 @@ func MeasureSurrogateSpeed(tr *trace.Trace) (*SurrogateSpeed, error) {
 	}
 	m.Price(places)
 
-	const desReps, surReps = 10, 100
-	begin := time.Now()
-	for i := 0; i < desReps; i++ {
-		if _, err := ev.Evaluate(places); err != nil {
-			return nil, err
+	const desReps, pricesPerReplay = 10, 10
+	sp := &SurrogateSpeed{}
+	for r := 0; r < speedRounds; r++ {
+		var des, sur time.Duration
+		for i := 0; i < desReps; i++ {
+			begin := time.Now()
+			if _, err := ev.Evaluate(places); err != nil {
+				return nil, err
+			}
+			des += time.Since(begin)
+			begin = time.Now()
+			for j := 0; j < pricesPerReplay; j++ {
+				m.Price(places)
+			}
+			sur += time.Since(begin)
 		}
+		sp.DESRounds = append(sp.DESRounds, des/desReps)
+		sp.SurrogateRounds = append(sp.SurrogateRounds, sur/(desReps*pricesPerReplay))
 	}
-	desPer := time.Since(begin) / desReps
-	begin = time.Now()
-	for i := 0; i < surReps; i++ {
-		m.Price(places)
-	}
-	surPer := time.Since(begin) / surReps
-	sp := &SurrogateSpeed{DESPerEval: desPer, SurrogatePerEval: surPer}
-	if surPer > 0 {
-		sp.Speedup = float64(desPer) / float64(surPer)
+	sp.DESPerEval = medianDuration(sp.DESRounds)
+	sp.SurrogatePerEval = medianDuration(sp.SurrogateRounds)
+	if sp.SurrogatePerEval > 0 {
+		sp.Speedup = float64(sp.DESPerEval) / float64(sp.SurrogatePerEval)
 	}
 	return sp, nil
+}
+
+// medianDuration returns the median of an odd-length sample.
+func medianDuration(ds []time.Duration) time.Duration {
+	s := slices.Clone(ds)
+	slices.Sort(s)
+	return s[len(s)/2]
 }

@@ -82,8 +82,9 @@ func TestSurrogateSpeedFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("surrogate speedup %.2fx (median DES %v, surrogate %v)", sp.Speedup, sp.DESPerEval, sp.SurrogatePerEval)
 	if sp.Speedup < SurrogateSpeedFloor {
-		t.Errorf("surrogate speedup %.2fx (DES %v, surrogate %v) below the %.0fx floor",
-			sp.Speedup, sp.DESPerEval, sp.SurrogatePerEval, SurrogateSpeedFloor)
+		t.Errorf("surrogate speedup below the %.0fx floor; per-eval rounds: DES %v, surrogate %v",
+			SurrogateSpeedFloor, sp.DESRounds, sp.SurrogateRounds)
 	}
 }

@@ -18,8 +18,8 @@ import (
 // report which fabric links throttle a run.
 type Resource struct {
 	eng      *Engine
-	name     string
-	reason   string // precomputed park reason for the blocking path
+	label    fmt.Stringer // the name, formatted only when a text needs it
+	reason   string       // park reason for the blocking path, built on first park
 	capacity int
 	inUse    int
 	waiters  []resourceWaiter
@@ -52,11 +52,24 @@ type resourceWaiter struct {
 
 // NewResource creates a resource with the given capacity (must be >= 1).
 func NewResource(eng *Engine, name string, capacity int) *Resource {
-	if capacity < 1 {
-		panic(fmt.Sprintf("sim: resource %q capacity %d", name, capacity))
-	}
-	return &Resource{eng: eng, name: name, reason: "resource " + name, capacity: capacity}
+	return NewLabeledResource(eng, fixedName(name), capacity)
 }
+
+// NewLabeledResource creates a resource named by label.String(), which
+// runs only when a panic text, a park reason or Stats needs the name: a
+// caller creating many resources, most of them never reported, formats
+// none of them up front.
+func NewLabeledResource(eng *Engine, label fmt.Stringer, capacity int) *Resource {
+	if capacity < 1 {
+		panic(fmt.Sprintf("sim: resource %q capacity %d", label.String(), capacity))
+	}
+	return &Resource{eng: eng, label: label, capacity: capacity}
+}
+
+// fixedName is a resource name that is already a string.
+type fixedName string
+
+func (n fixedName) String() string { return string(n) }
 
 // Capacity returns the configured capacity.
 func (r *Resource) Capacity() int { return r.capacity }
@@ -75,7 +88,7 @@ func (r *Resource) noteQueue() {
 // Acquire obtains n units, blocking in FIFO order behind earlier waiters.
 func (r *Resource) Acquire(p *Proc, n int) {
 	if n < 1 || n > r.capacity {
-		panic(fmt.Sprintf("sim: resource %q acquire %d of %d", r.name, n, r.capacity))
+		panic(fmt.Sprintf("sim: resource %q acquire %d of %d", r.label.String(), n, r.capacity))
 	}
 	r.acquires++
 	// FIFO fairness: even if units are free, queue behind existing waiters.
@@ -87,6 +100,9 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	queuedAt := r.eng.Now()
 	r.noteQueue()
 	r.waiters = append(r.waiters, resourceWaiter{p: p, n: n})
+	if r.reason == "" {
+		r.reason = "resource " + r.label.String()
+	}
 	for {
 		p.Park(r.reason)
 		// The waiter stays queued until it can actually proceed; a wake
@@ -117,7 +133,7 @@ func (r *Resource) Acquire(p *Proc, n int) {
 // other schedules the exact same calendar.
 func (r *Resource) AcquireFn(n int, fn func()) bool {
 	if n < 1 || n > r.capacity {
-		panic(fmt.Sprintf("sim: resource %q acquire %d of %d", r.name, n, r.capacity))
+		panic(fmt.Sprintf("sim: resource %q acquire %d of %d", r.label.String(), n, r.capacity))
 	}
 	r.acquires++
 	if len(r.waiters) == 0 && r.inUse+n <= r.capacity {
@@ -166,7 +182,7 @@ func (r *Resource) take(n int) {
 // Release returns n units and wakes eligible waiters.
 func (r *Resource) Release(n int) {
 	if n < 1 || n > r.inUse {
-		panic(fmt.Sprintf("sim: resource %q release %d of %d in use", r.name, n, r.inUse))
+		panic(fmt.Sprintf("sim: resource %q release %d of %d in use", r.label.String(), n, r.inUse))
 	}
 	r.inUse -= n
 	if r.inUse == 0 {
@@ -225,7 +241,7 @@ func (r *Resource) BusyTime() units.Time {
 func (r *Resource) ResetStats() {
 	if r.inUse > 0 || len(r.waiters) > 0 {
 		panic(fmt.Sprintf("sim: resource %q stats reset with %d in use, %d waiting",
-			r.name, r.inUse, len(r.waiters)))
+			r.label.String(), r.inUse, len(r.waiters)))
 	}
 	r.busySince = 0
 	r.busyTime = 0
@@ -250,12 +266,20 @@ type ResourceStats struct {
 	QueueArea units.Time // integral of queue length over time (waiter-time)
 }
 
-// Stats snapshots the occupancy counters, accruing the queue integral and
-// busy time up to Now().
+// Stats snapshots the name and the occupancy counters, accruing the
+// queue integral and busy time up to Now().
 func (r *Resource) Stats() ResourceStats {
+	s := r.Occupancy()
+	s.Name = r.label.String()
+	return s
+}
+
+// Occupancy is Stats without the name, for callers that report the
+// resource under a key of their own: a labeled resource stays
+// unformatted.
+func (r *Resource) Occupancy() ResourceStats {
 	area := r.queueArea + units.Time(len(r.waiters))*(r.eng.Now()-r.queueMark)
 	return ResourceStats{
-		Name:      r.name,
 		Capacity:  r.capacity,
 		InUse:     r.inUse,
 		PeakInUse: r.peakInUse,

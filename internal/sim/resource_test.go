@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"roadrunner/internal/units"
@@ -109,5 +111,60 @@ func TestResourceStatsStaggered(t *testing.T) {
 	}
 	if s.PeakInUse != 1 || s.Acquires != 2 || s.Contended != 1 {
 		t.Errorf("peak/acquires/contended = %d/%d/%d", s.PeakInUse, s.Acquires, s.Contended)
+	}
+}
+
+// countingLabel names a resource and counts how often it was asked to.
+type countingLabel struct {
+	name  string
+	calls int
+}
+
+func (l *countingLabel) String() string { l.calls++; return l.name }
+
+// TestLabeledResourceNamesLazily pins the labeled constructor: admission,
+// release and occupancy never format the label, while the Stats name,
+// the park reason a deadlock reports and the panic texts read exactly as
+// they do for a resource built with that name.
+func TestLabeledResourceNamesLazily(t *testing.T) {
+	lbl := &countingLabel{name: "CU1/xbar0->spine3"}
+	e := NewEngine()
+	defer e.Close()
+	r := NewLabeledResource(e, lbl, 1)
+	if !r.AcquireFn(1, nil) {
+		t.Fatal("uncontended acquire queued")
+	}
+	r.Occupancy()
+	r.Release(1)
+	if lbl.calls != 0 {
+		t.Errorf("admission and occupancy formatted the label %d times", lbl.calls)
+	}
+
+	// texts returns the Stats name, the deadlock report of a proc left
+	// parked on the held resource and the panic of an over-release.
+	texts := func(mk func(*Engine) *Resource) (name, deadlock, panicText string) {
+		e := NewEngine()
+		defer e.Close()
+		r := mk(e)
+		r.AcquireFn(1, nil)
+		e.Spawn("waiter", func(p *Proc) { r.Acquire(p, 1) })
+		err := e.Run()
+		if err == nil {
+			t.Fatal("no deadlock with the resource held")
+		}
+		r.Release(1)
+		func() {
+			defer func() { panicText = fmt.Sprint(recover()) }()
+			r.Release(1)
+		}()
+		return r.Stats().Name, err.Error(), panicText
+	}
+	n1, d1, p1 := texts(func(e *Engine) *Resource { return NewResource(e, lbl.name, 1) })
+	n2, d2, p2 := texts(func(e *Engine) *Resource { return NewLabeledResource(e, lbl, 1) })
+	if n1 != n2 || d1 != d2 || p1 != p2 {
+		t.Errorf("labeled texts differ:\n  name %q vs %q\n  deadlock %q vs %q\n  panic %q vs %q", n1, n2, d1, d2, p1, p2)
+	}
+	if n1 != lbl.name || !strings.Contains(d1, "waiter (resource "+lbl.name+")") || !strings.Contains(p1, `"`+lbl.name+`"`) {
+		t.Errorf("texts do not carry the name: %q, %q, %q", n1, d1, p1)
 	}
 }

@@ -22,11 +22,12 @@
 //     under the multi-flow and duplex caps — the load-balance term the
 //     walk's completion-time view underweights;
 //   - an M/M/1-style waiting-time term per contended link — the traffic
-//     matrix folded through the topology's routes, resolved from the
-//     same transport route cache the DES uses in transport.PairPath
-//     admission order — split into the 2:1-tapered uplink tier and
-//     everything else, with utilization measured against the walk
-//     horizon.
+//     matrix folded through the topology's routes, read in
+//     transport.PairPath admission order from the same transport route
+//     cache the DES uses (the model's own transport.Net; the model keeps
+//     no route table, and its per-link arrays are indexed by the net's
+//     link ids) — split into the 2:1-tapered uplink tier and everything
+//     else, with utilization measured against the walk horizon.
 //
 // The terms are combined linearly with weights fitted by ridge least
 // squares against a small set of DES-evaluated anchor placements
@@ -80,16 +81,6 @@ const (
 	evStart
 )
 
-// routeEntry is one compiled directed node-pair route: the latency
-// decomposition plus the admission-controlled links as dense indices
-// into the model's link table, in transport acquisition order.
-type routeEntry struct {
-	fabLat   units.Time
-	rdvExtra units.Time
-	links    []int32
-	derived  bool
-}
-
 // compiled is the trace's dependency DAG flattened for the walk, built
 // once and shared read-only across clones. Only communication records
 // survive as ops (canonical rank-major order, so off slices each
@@ -130,12 +121,7 @@ type Model struct {
 	dupPs float64 // ps/byte at the duplex-aggregate rate
 
 	eng *sim.Engine    // never run; owns the route-resolving net's state
-	net *transport.Net // route resolution only
-
-	linkIdx map[uint64]int32  // link Key → dense index
-	lkind   []fabric.LinkKind // by dense index
-	routes  [][]routeEntry    // by fabric cache row, rows lazily sized
-	lbuf    []fabric.Link     // AdmissionLinks scratch
+	net *transport.Net // route resolution only: its cache and link ids
 
 	// Per-candidate pair table (traffic-matrix Pairs order).
 	pairs []pairInfo
@@ -145,12 +131,12 @@ type Model struct {
 	deliv       []int64    // per record: send's delivery time (0 = not yet)
 	waiter      []int32    // per record: rank blocked on this send, -1 none
 	nOutC, nInC []int32    // per global node: active flow counts by direction
-	linkBusy    []int64    // per dense link: busy-until (queueing policies)
+	linkBusy    []int64    // per net link id: busy-until (queueing policies)
 	evq         []walkEv   // pending flow events from evHead on, packed keys
 	evHead      int        // evq index of the earliest pending event
 	work        []int32    // runnable-rank stack
-	lbytes      []float64  // per dense link
-	lmsgs       []float64  // per dense link
+	lbytes      []float64  // per net link id
+	lmsgs       []float64  // per net link id
 	ltouch      []int32
 	nin, nout   []float64 // per global node
 	ntouch      []int32
@@ -289,9 +275,6 @@ func newModel(mat *trace.TrafficMatrix, dag *compiled, fab *fabric.System, prof 
 		dupPs:    psPerByte(prof.DuplexAggregate),
 		eng:      eng,
 		net:      transport.New(eng, fab, prof, pol),
-		linkIdx:  make(map[uint64]int32),
-		routes:   make([][]routeEntry, fab.CacheRows()),
-		lbuf:     make([]fabric.Link, 0, fab.MaxRouteLen()),
 		pairs:    make([]pairInfo, len(mat.Pairs)),
 		rk:       make([]walkRank, mat.Ranks),
 		deliv:    make([]int64, len(dag.ops)),
@@ -306,9 +289,9 @@ func newModel(mat *trace.TrafficMatrix, dag *compiled, fab *fabric.System, prof 
 }
 
 // Clone returns an instance sharing the compiled trace, the traffic
-// matrix and the calibrated weights but owning its route-resolving
-// net, route cache and buffers (all mutated during pricing), for one
-// worker of a parallel search. Calibrate before cloning; clones price
+// matrix and the calibrated weights but owning its route-resolving net
+// (with its route cache) and buffers, all mutated during pricing, for
+// one worker of a parallel search. Calibrate before cloning; clones price
 // identically to the original — the walk's event order and float
 // summation follow canonical orders, never cache history.
 func (m *Model) Clone() *Model {
@@ -326,14 +309,6 @@ func (m *Model) Matrix() *trace.TrafficMatrix { return m.mat }
 // Weights returns the current term weights (FeatureNames order).
 func (m *Model) Weights() []float64 { return append([]float64(nil), m.weights...) }
 
-// max64 is the two-operand int64 maximum the walk leans on.
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // pairInfo is one directed rank pair's placement-dependent transport
 // arithmetic under the current candidate, sized to a cache line so a
 // flow's whole cost model is one load.
@@ -344,7 +319,7 @@ type pairInfo struct {
 	stream float64 // picoseconds per payload byte at the pair rate
 	srcN   int32   // sender's global node, -1 intra-node
 	dstN   int32   // receiver's global node, -1 intra-node
-	links  []int32 // admission links, transport acquisition order
+	links  []int32 // the net's admission link ids, transport acquisition order
 }
 
 // walkEv is one pending flow event, its ordering key packed into two
@@ -439,46 +414,17 @@ func ratePs(stream, mfPs, dupPs float64, sOut, sIn, dOut, dIn int32) float64 {
 	return ps
 }
 
-// route returns (compiling on first use) the directed node-pair route.
-func (m *Model) route(src, dst fabric.NodeID) *routeEntry {
-	row := m.routes[m.fab.CacheKey(src)]
-	if row == nil {
-		row = make([]routeEntry, m.fab.Nodes())
-		m.routes[m.fab.CacheKey(src)] = row
+// growLinks extends the per-link arrays to the net's link count: a
+// route derived for this candidate may have resolved new links. Link ids
+// depend on derivation history, but they are identity keys only:
+// accumulation and summation order follow the canonical pair order, so
+// prices do not.
+func (m *Model) growLinks() {
+	if k := m.net.Links() - len(m.lmsgs); k > 0 {
+		m.lbytes = append(m.lbytes, make([]float64, k)...)
+		m.lmsgs = append(m.lmsgs, make([]float64, k)...)
+		m.linkBusy = append(m.linkBusy, make([]int64, k)...)
 	}
-	re := &row[dst.GlobalID()]
-	if !re.derived {
-		pp := m.net.PairPath(src, dst)
-		re.fabLat = pp.FabricLatency()
-		re.rdvExtra = pp.RendezvousExtra()
-		m.lbuf = pp.AdmissionLinks(m.lbuf[:0])
-		if len(m.lbuf) > 0 {
-			re.links = make([]int32, len(m.lbuf))
-			for i, l := range m.lbuf {
-				re.links[i] = m.linkDense(l)
-			}
-		}
-		re.derived = true
-	}
-	return re
-}
-
-// linkDense returns the link's dense index, growing the table on first
-// sight. Indices depend on derivation history, but they are identity
-// keys only: accumulation and summation order follow the canonical
-// pair order, so prices do not.
-func (m *Model) linkDense(l fabric.Link) int32 {
-	k := l.Key()
-	if li, ok := m.linkIdx[k]; ok {
-		return li
-	}
-	li := int32(len(m.lkind))
-	m.linkIdx[k] = li
-	m.lkind = append(m.lkind, l.Kind)
-	m.lbytes = append(m.lbytes, 0)
-	m.lmsgs = append(m.lmsgs, 0)
-	m.linkBusy = append(m.linkBusy, 0)
-	return li
 }
 
 // Features computes the candidate's feature vector (FeatureNames
@@ -525,13 +471,14 @@ func (m *Model) features(places []transport.Endpoint) *[NumFeatures]float64 {
 			pe.links = nil
 			continue
 		}
-		re := m.route(src.Node, dst.Node)
-		pe.rdvT = int64(re.rdvExtra)
-		pe.deliv = int64(re.fabLat) + o1
+		pp := m.net.PairPath(src.Node, dst.Node)
+		pe.rdvT = int64(pp.RendezvousExtra())
+		pe.deliv = int64(pp.FabricLatency()) + o1
 		pe.stream = psPerByte(m.prof.PairBandwidth(src.Core, dst.Core))
-		pe.links = re.links
+		pe.links = pp.LinkIDs()
+		m.growLinks()
 		b, msgs := float64(p.Bytes), float64(p.Msgs)
-		for _, li := range re.links {
+		for _, li := range pe.links {
 			if m.lmsgs[li] == 0 {
 				m.ltouch = append(m.ltouch, li)
 			}
@@ -657,7 +604,7 @@ func (m *Model) features(places []transport.Endpoint) *[NumFeatures]float64 {
 			nInC[dg]++
 			rem := rs.rem
 			ps := ratePs(pe.stream, mfPs, dupPs, nOutC[sg], nInC[sg], nOutC[dg], nInC[dg])
-			chunk := min64(rem, walkChunk)
+			chunk := min(rem, walkChunk)
 			m.evPush(t+int64(float64(chunk)*ps+0.5), 0, evEnd, r)
 			if queueing {
 				proj := t + int64(float64(rem)*ps+0.5)
@@ -668,11 +615,11 @@ func (m *Model) features(places []transport.Endpoint) *[NumFeatures]float64 {
 			continue
 		}
 		// evEnd: one chunk done.
-		rem := rs.rem - min64(rs.rem, walkChunk)
+		rem := rs.rem - min(rs.rem, walkChunk)
 		if rem > 0 {
 			rs.rem = rem
 			ps := ratePs(pe.stream, mfPs, dupPs, nOutC[sg], nInC[sg], nOutC[dg], nInC[dg])
-			chunk := min64(rem, walkChunk)
+			chunk := min(rem, walkChunk)
 			m.evPush(t+int64(float64(chunk)*ps+0.5), 0, evEnd, r)
 			if queueing {
 				proj := t + int64(float64(rem)*ps+0.5)
@@ -737,7 +684,7 @@ func (m *Model) features(places []transport.Endpoint) *[NumFeatures]float64 {
 				rho = maxRho
 			}
 			w := busy * rho / (1 - rho) // n * S * rho/(1-rho), S = busy/n
-			if m.lkind[li] == fabric.LinkUplink {
+			if m.net.Link(li).Kind == fabric.LinkUplink {
 				waitUp += w
 			} else {
 				waitOther += w
@@ -747,14 +694,6 @@ func (m *Model) features(places []transport.Endpoint) *[NumFeatures]float64 {
 
 	m.feat = [NumFeatures]float64{1, float64(sched), hca, waitUp, waitOther}
 	return &m.feat
-}
-
-// min64 is the two-operand int64 minimum.
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Price returns the model's cost estimate for the candidate placement,

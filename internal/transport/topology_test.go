@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"slices"
 	"testing"
+	"unsafe"
 
 	"roadrunner/internal/fabric"
 	"roadrunner/internal/ib"
@@ -113,5 +115,87 @@ func TestSharedCacheRowsPerTopologyGranularity(t *testing.T) {
 			t.Error("torus: distinct routers share a cache entry")
 		}
 		eng.Close()
+	}
+}
+
+// TestRouteCacheSizedByRun pins the route cache's footprint: rows are
+// indexed by the net's dense destination index, so a 64-rank placement
+// on the full machine holds rows as wide as the destinations it routes
+// to, not as wide as the machine. Touching every destination afterwards
+// copies each row at most once into a full-width one, and a PairPath
+// taken before its row widened keeps reading its own route.
+func TestRouteCacheSizedByRun(t *testing.T) {
+	prof := ib.OpenMPI()
+	entry := int(unsafe.Sizeof(xbarPath{}))
+	for _, name := range []string{"fattree", "torus"} {
+		t.Run(name, func(t *testing.T) {
+			fab := topoSystem(t, name, params.NumCUs)
+			eng := sim.NewEngine()
+			defer eng.Close()
+			net := New(eng, fab, prof, Congested())
+			places := make([]fabric.NodeID, 64)
+			for i := range places {
+				places[i] = fabric.FromGlobal(i * fab.Nodes() / len(places))
+			}
+			type snap struct {
+				pp    PairPath
+				hops  int
+				links []int32
+			}
+			var early []snap
+			for _, s := range places {
+				for _, d := range places {
+					if s != d {
+						pp := net.PairPath(s, d)
+						early = append(early, snap{pp, pp.Hops(), append([]int32(nil), pp.LinkIDs()...)})
+					}
+				}
+			}
+			rows, bytes := 0, 0
+			for _, row := range net.xpaths {
+				if row != nil {
+					rows++
+					bytes += cap(row) * entry
+				}
+			}
+			if full := rows * fab.Nodes() * entry; bytes*4 > full {
+				t.Errorf("%d rows hold %d bytes of route cache, full-width rows %d", rows, bytes, full)
+			}
+
+			// Every destination from every placed source: each row's
+			// backing array may change only once, from its first
+			// (narrow) allocation to the full-width one.
+			first := map[int]*xbarPath{}
+			allocs := map[int]int{}
+			for _, s := range places {
+				key := fab.CacheKey(s)
+				if row := net.xpaths[key]; row != nil && first[key] == nil {
+					first[key], allocs[key] = &row[0], 1
+				}
+				for g := 0; g < fab.Nodes(); g++ {
+					if d := fabric.FromGlobal(g); d != s {
+						net.xpath(s, d)
+						if p := &net.xpaths[key][0]; p != first[key] {
+							first[key] = p
+							allocs[key]++
+						}
+					}
+				}
+			}
+			for key, n := range allocs {
+				if n > 2 {
+					t.Errorf("row %d allocated %d times, want a narrow row widened at most once", key, n)
+				}
+				if len(net.xpaths[key]) != fab.Nodes() {
+					t.Errorf("row %d is %d wide after routing to every node, want %d", key, len(net.xpaths[key]), fab.Nodes())
+				}
+			}
+			for _, e := range early {
+				if e.pp.Hops() != e.hops || !slices.Equal(e.pp.LinkIDs(), e.links) {
+					t.Fatalf("a PairPath taken before its row widened changed: hops %d -> %d, links %v -> %v",
+						e.hops, e.pp.Hops(), e.links, e.pp.LinkIDs())
+				}
+			}
+		})
 	}
 }

@@ -83,6 +83,17 @@ type linkState struct {
 	bytes units.Size
 }
 
+// String names the channel's admission resource, which formats it only
+// for a panic text or its Stats.
+func (st *linkState) String() string { return st.link.String() }
+
+// rowStart is the width a route-cache row is created with, capped at the
+// fabric's node count. A placement search routes to about 200
+// destinations per net and a 360-node collective to 360, so their rows
+// never widen; a row that needs more is widened once, straight to the
+// node count, so a full-machine run copies each row at most once.
+const rowStart = 512
+
 // xbarPath is the cached routing work shared by every source node of one
 // cache row toward one destination node: the hop-latency term, the
 // rendezvous round trip, and — with congestion enabled — the route's
@@ -90,13 +101,17 @@ type linkState struct {
 // acquisition order. Rows are keyed by the topology's CacheKey, whose
 // contract (two sources with one key share every route interior) is
 // exactly what makes the shared entry exact: the fat-tree keys by line
-// crossbar — 408 crossbars x 3,060 nodes ≈ 1.2M value-typed entries in
-// dense rows — while the per-node-router torus keys by node.
+// crossbar (408 rows), the per-node-router torus by node (3,060). Within
+// a row, entries sit at the destination's dense index, so a row is as
+// wide as the set of destinations the net has routed to, not the
+// machine.
 //
 // The entry holds no pointer: its links are a span of the net's
 // route-link table, whose ids index the net's link states, so the rows
 // are 32-byte plain values that the garbage collector never scans,
-// however many a full-machine sweep derives.
+// however many a full-machine sweep derives. A derived entry is never
+// written again, so a PairPath taken before its row widened still reads
+// the right values from the old copy.
 type xbarPath struct {
 	fabLat   units.Time // hop count x hop latency
 	rdvExtra units.Time // rendezvous round trip above the eager threshold
@@ -128,7 +143,9 @@ type Net struct {
 	hcas       []*ib.HCA        // by destination global node id, nil until used
 	links      map[uint64]int32 // link key -> id in states
 	states     []*linkState     // by link id, in first-use order
-	xpaths     [][]xbarPath     // by source cache key (fabric CacheKey), rows nil until used
+	dsts       []int32          // by global node id: dense destination index + 1, 0 until routed to
+	ndst       int32            // dense destination indices assigned
+	xpaths     [][]xbarPath     // by source cache key (fabric CacheKey), then dense destination index
 	routeLinks []int32          // every cached route's link ids, one span per entry
 	rbuf       []fabric.Link    // route scratch, sized to the topology's MaxRouteLen
 	xfers      *Pending         // free list of chained-transfer state machines
@@ -148,6 +165,7 @@ func New(eng *sim.Engine, fab *fabric.System, prof ib.Profile, pol Policy) *Net 
 		prof:   prof,
 		pol:    pol,
 		hcas:   make([]*ib.HCA, fab.Nodes()),
+		dsts:   make([]int32, fab.Nodes()),
 		xpaths: make([][]xbarPath, fab.CacheRows()),
 		rbuf:   make([]fabric.Link, 0, fab.MaxRouteLen()),
 	}
@@ -160,9 +178,10 @@ func New(eng *sim.Engine, fab *fabric.System, prof ib.Profile, pol Policy) *Net 
 // Reset zeroes every traffic counter — transport totals, per-link
 // occupancy and the endpoint HCA flow accounting — while keeping the
 // HCA table, the link-state map (with their sim.Resource objects) and
-// the route cache intact, so a pooled Net replays a fresh run without
-// rebuilding any per-link state. Call it alongside sim.Engine.Reset;
-// everything must be idle (no flows streaming, no admissions held).
+// the route cache with its destination indices intact, so a pooled Net
+// replays a fresh run without rebuilding any per-link state. Call it
+// alongside sim.Engine.Reset; everything must be idle (no flows
+// streaming, no admissions held).
 func (n *Net) Reset() {
 	n.msgs = 0
 	n.wire = 0
@@ -177,9 +196,6 @@ func (n *Net) Reset() {
 		}
 	}
 }
-
-// Policy returns the congestion policy the net runs under.
-func (n *Net) Policy() Policy { return n.pol }
 
 // HCA returns (creating on first use) the node's adapter.
 func (n *Net) HCA(node fabric.NodeID) *ib.HCA {
@@ -211,11 +227,20 @@ func (n *Net) linkID(l fabric.Link) int32 {
 			capacity = unlimited
 		}
 		id = int32(len(n.states))
-		n.states = append(n.states, &linkState{link: l, res: sim.NewResource(n.eng, l.String(), capacity)})
+		st := &linkState{link: l}
+		st.res = sim.NewLabeledResource(n.eng, st, capacity)
+		n.states = append(n.states, st)
 		n.links[k] = id
 	}
 	return id
 }
+
+// Links returns the number of link channels the net has resolved; link
+// ids run from 0 to Links()-1 in first-use order.
+func (n *Net) Links() int { return len(n.states) }
+
+// Link returns the link of channel id.
+func (n *Net) Link(id int32) fabric.Link { return n.states[id].link }
 
 // linkIDs returns a cache entry's admission-controlled link ids in
 // acquisition order.
@@ -234,13 +259,19 @@ func (n *Net) linkIDs(xp *xbarPath) []int32 {
 // Reset: link identities and hop counts are properties of the wiring,
 // not of any one run. src and dst must be distinct nodes.
 func (n *Net) xpath(src, dst fabric.NodeID) *xbarPath {
+	g := dst.GlobalID()
+	di := n.dsts[g] - 1
+	if di < 0 {
+		di = n.ndst
+		n.ndst++
+		n.dsts[g] = di + 1
+	}
 	key := n.fab.CacheKey(src)
 	row := n.xpaths[key]
-	if row == nil {
-		row = make([]xbarPath, n.fab.Nodes())
-		n.xpaths[key] = row
+	if int(di) >= len(row) {
+		row = n.widen(key)
 	}
-	xp := &row[dst.GlobalID()]
+	xp := &row[di]
 	if !xp.derived {
 		pr := n.prof
 		route := n.fab.RouteInto(n.rbuf[:0], src, dst)
@@ -268,6 +299,23 @@ func (n *Net) xpath(src, dst fabric.NodeID) *xbarPath {
 		xp.derived = true
 	}
 	return xp
+}
+
+// widen gives cache row key room for every dense index assigned so far:
+// a new row starts rowStart wide unless the net already routes to more
+// destinations than that, and a row too narrow is copied once into a
+// full-width one. The old copy stays valid for any PairPath still
+// pointing into it.
+func (n *Net) widen(key int) []xbarPath {
+	old := n.xpaths[key]
+	w := min(rowStart, n.fab.Nodes())
+	if old != nil || int(n.ndst) > w {
+		w = n.fab.Nodes()
+	}
+	row := make([]xbarPath, w)
+	copy(row, old)
+	n.xpaths[key] = row
+	return row
 }
 
 // Transfer blocks the calling proc for the sender-visible cost of moving
@@ -309,7 +357,8 @@ func (n *Net) ShortTransfer(src, dst Endpoint, size units.Size) (send, after uni
 
 // PairPath resolves the routing work for a directed inter-node pair, for
 // analytic models that read a route's timing terms and admission links
-// (internal/surrogate). The underlying route entry is shared
+// (internal/surrogate, whose pass 1 reads this cache instead of keeping
+// one of its own). The underlying route entry is shared
 // crossbar-granular cache state. src and dst must be distinct nodes.
 func (n *Net) PairPath(src, dst fabric.NodeID) PairPath {
 	if src == dst {
@@ -338,11 +387,16 @@ func (pp PairPath) RendezvousExtra() units.Time { return pp.xp.rdvExtra }
 // fold offered load over the route (internal/surrogate) depend on this
 // order and membership; the per-topology PairPath tests pin both.
 func (pp PairPath) AdmissionLinks(buf []fabric.Link) []fabric.Link {
-	for _, id := range pp.n.linkIDs(pp.xp) {
-		buf = append(buf, pp.n.states[id].link)
+	for _, id := range pp.LinkIDs() {
+		buf = append(buf, pp.n.Link(id))
 	}
 	return buf
 }
+
+// LinkIDs returns the net's ids of the links AdmissionLinks lists, in
+// the same order: dense keys for per-link arrays that Net.Link resolves.
+// The slice is the cache's own and must not be modified.
+func (pp PairPath) LinkIDs() []int32 { return pp.n.linkIDs(pp.xp) }
 
 // StartTransfer begins a payload-carrying transfer between distinct nodes
 // as an event chain and returns its handle: software overhead,
@@ -587,7 +641,7 @@ func (n *Net) Census(top int) *Census {
 		if st.msgs == 0 {
 			continue
 		}
-		s := st.res.Stats()
+		s := st.res.Occupancy()
 		u := LinkUsage{
 			Link:        st.link,
 			Messages:    st.msgs,
