@@ -43,7 +43,7 @@ bench-full:
 # PlacementOptimize the optimizer end to end; the Surrogate
 # benches the analytic pricing model the two-tier search screens with
 # (price one mapping, cold-route pricing, and model compilation).
-BENCH_RE = Collective|Saturation|TraceReplay|EvaluatorReplay|PlacementOptimize|EventLoop|ProcParkUnpark|MailboxPingPong|Facility|TopoCompare|TopologyRoute|Surrogate
+BENCH_RE = Collective|Saturation|TraceReplay|EvaluatorReplay|PlacementOptimize|EventLoop|ProcParkUnpark|Facility|TopoCompare|TopologyRoute|Surrogate
 BENCH_PKGS = ./internal/collectives ./internal/scenario ./internal/trace ./internal/placement ./internal/surrogate ./internal/sim ./internal/facility ./internal/fabric
 
 bench-artifact:

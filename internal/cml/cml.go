@@ -16,9 +16,10 @@
 //     PPE, and a final local hop: 8.78 us end to end for a zero-byte
 //     message between adjacent nodes.
 //
-// Messages execute store-and-forward on the DES, holding the DaCS pairs
-// and HCAs they cross, so congestion composes naturally with everything
-// else in flight.
+// Messages execute store-and-forward on the DES as event chains — one
+// calendar event per latency segment and per DaCS, DMA or HCA chunk —
+// holding the DMA queues, EIB ports, DaCS pairs and HCAs they cross, so
+// congestion composes naturally with everything else in flight.
 package cml
 
 import (
@@ -95,6 +96,7 @@ type World struct {
 	buses map[cellKey]*eib.Bus
 	mfcs  map[cellKey][]*eib.MFC
 	hcas  map[fabric.NodeID]*ib.HCA
+	free  *send // recycled message chains
 }
 
 // NewWorld creates an empty CML world.
@@ -115,12 +117,7 @@ func (w *World) AddRank(a Addr) *Rank {
 	if a.Cell < 0 || a.Cell >= CellsPerNode || a.SPE < 0 || a.SPE >= SPEsPerCell {
 		panic(fmt.Sprintf("cml: bad address %v", a))
 	}
-	r := &Rank{
-		world: w,
-		id:    len(w.ranks),
-		addr:  a,
-		inbox: sim.NewMailbox[*Message](w.eng, fmt.Sprintf("spe-rank%d", len(w.ranks))),
-	}
+	r := &Rank{world: w, id: len(w.ranks), addr: a}
 	w.ranks = append(w.ranks, r)
 	ck := cellKey{a.Node, a.Cell}
 	if _, ok := w.pairs[ck]; !ok {
@@ -135,7 +132,7 @@ func (w *World) AddRank(a Addr) *Rank {
 		w.mfcs[ck] = mfcs
 	}
 	if _, ok := w.hcas[a.Node]; !ok {
-		w.hcas[a.Node] = ib.NewHCA(w.eng, w.cfg.IB)
+		w.hcas[a.Node] = ib.NewHCA(w.cfg.IB)
 	}
 	return r
 }
@@ -163,7 +160,6 @@ type Rank struct {
 	world *World
 	id    int
 	addr  Addr
-	inbox *sim.Mailbox[*Message]
 }
 
 // ID returns the rank number.
@@ -176,179 +172,162 @@ func (r *Rank) Addr() Addr { return r.addr }
 // Cell (the paired core; see triblade).
 func (r *Rank) opteronCore() int { return r.addr.Cell }
 
-// Send transmits data to rank dst, blocking the caller while the message
-// crosses each segment of its path (store-and-forward).
-func (r *Rank) Send(p *sim.Proc, dst, tag int, data []float64) {
+// leg is one store-and-forward segment of a message's path.
+type leg uint8
+
+const (
+	legSocket     leg = iota // CML intra-socket latency
+	legDMA                   // local-store-to-local-store DMA over the EIB
+	legLocal                 // SPE <-> PPE staging
+	legUp                    // DaCS Cell -> Opteron on the sender's Cell
+	legDown                  // DaCS Opteron -> Cell on the receiver's Cell
+	legOverhead              // MPI send-side software overhead
+	legRendezvous            // IB rendezvous round trip above the eager threshold
+	legStream                // payload through the sender's HCA
+	legWire                  // fabric traversal and receive-side overhead
+)
+
+// The three transports' paths.
+var (
+	// Same socket: local-store DMA across the EIB.
+	socketPath = []leg{legSocket, legDMA}
+	// Same triblade, different Cell: up through DaCS, across the node,
+	// back down through the peer's DaCS.
+	nodePath = []leg{legLocal, legUp, legDown, legLocal}
+	// Different triblade: the full Fig. 6 path.
+	fabricPath = []leg{legLocal, legUp, legOverhead, legRendezvous, legStream, legWire, legDown, legLocal}
+)
+
+// send is one message in flight. Its events are bound once, and chains
+// recycle through the world's free list, so a steady-state message
+// allocates only its Message.
+type send struct {
+	w         *World
+	msg       *Message
+	src, dst  Addr
+	path      []leg
+	pc        int
+	fabLat    units.Time      // internode: hops x per-hop latency
+	pairBW    units.Bandwidth // internode: the core pairing's stream rate
+	remaining units.Size      // HCA bytes not yet scheduled
+	dacs      dacs.Send
+	dma       eib.DMA
+	deliver   func(*Message)
+	then      func()
+	stepFn    func()
+	chunkFn   func()
+	next      *send
+}
+
+// StartSend moves data from r to rank dst as an event chain over the
+// path's store-and-forward segments: it schedules one event per latency
+// segment and per DaCS, DMA or HCA chunk, and queues on the DMA queues,
+// EIB ports, DaCS wires and HCAs it crosses. From the event that ends
+// the last segment it runs deliver with the message, then then — the
+// instant a blocking sender would have returned. The chain starts with a
+// scheduled segment on every path, so neither runs before StartSend
+// returns.
+func (r *Rank) StartSend(dst, tag int, data []float64, deliver func(*Message), then func()) {
 	w := r.world
 	if dst < 0 || dst >= len(w.ranks) {
 		panic(fmt.Sprintf("cml: send to %d of %d", dst, len(w.ranks)))
 	}
 	to := w.ranks[dst]
-	size := units.Size(8 * len(data))
-	msg := &Message{Src: r.id, Dst: dst, Tag: tag, Data: data, Size: size}
-
-	src, dstA := r.addr, to.addr
-	srcKey := cellKey{src.Node, src.Cell}
-	dstKey := cellKey{dstA.Node, dstA.Cell}
-
+	s := w.free
+	if s == nil {
+		s = &send{w: w}
+		s.stepFn, s.chunkFn = s.step, s.chunk
+	} else {
+		w.free, s.next = s.next, nil
+	}
+	s.msg = &Message{Src: r.id, Dst: dst, Tag: tag, Data: data, Size: units.Size(8 * len(data))}
+	s.src, s.dst = r.addr, to.addr
+	s.deliver, s.then = deliver, then
+	s.pc = 0
 	switch {
-	case srcKey == dstKey:
-		// Same socket: local-store DMA across the EIB.
-		p.Sleep(params.CMLIntraSocketLatency)
-		if size > 0 {
-			w.mfcs[srcKey][src.SPE].PutTo(p, dstA.SPE, size)
-		}
-		to.inbox.Put(msg)
-		return
-
-	case src.Node == dstA.Node:
-		// Same triblade, different Cell: up through DaCS, across the
-		// node, back down through the peer's DaCS.
-		p.Sleep(params.LocalSegment) // SPE -> PPE staging
-		w.pairs[srcKey].Send(p, dacs.CellToOpteron, size)
-		w.pairs[dstKey].Send(p, dacs.OpteronToCell, size)
-		p.Sleep(params.LocalSegment) // PPE -> SPE delivery
-		to.inbox.Put(msg)
-		return
-	}
-
-	// Internode: the full Fig. 6 path.
-	p.Sleep(params.LocalSegment)
-	w.pairs[srcKey].Send(p, dacs.CellToOpteron, size)
-
-	pr := w.cfg.IB
-	hops := w.fab.Hops(src.Node, dstA.Node)
-	fabLat := units.Time(hops) * pr.HopLatency
-	pairBW := pr.PairBandwidth(r.opteronCore(), to.opteronCore())
-	p.Sleep(pr.PerSideOverhead)
-	if size > pr.EagerThreshold {
-		p.Sleep(2 * (2*pr.PerSideOverhead + fabLat))
-	}
-	if size > 0 {
-		w.hcas[src.Node].Stream(p, 0, size, pairBW)
-	}
-	p.Sleep(fabLat + pr.PerSideOverhead)
-
-	w.pairs[dstKey].Send(p, dacs.OpteronToCell, size)
-	p.Sleep(params.LocalSegment)
-	to.inbox.Put(msg)
-}
-
-// Recv blocks until a message matching (src, tag) arrives. Use -1 as a
-// wildcard for either.
-func (r *Rank) Recv(p *sim.Proc, src, tag int) *Message {
-	return r.inbox.GetMatch(p, func(m *Message) bool {
-		return (src < 0 || m.Src == src) && (tag < 0 || m.Tag == tag)
-	})
-}
-
-// Collective tags (high bits, clear of application tags).
-const (
-	tagBarrier = 1 << 28
-	tagBcast   = 1 << 29
-	tagReduce  = 1 << 30
-)
-
-// Barrier synchronises all ranks (binomial tree at rank 0).
-func (r *Rank) Barrier(p *sim.Proc) {
-	size := len(r.world.ranks)
-	for dist := 1; dist < size; dist *= 2 {
-		if r.id&dist != 0 {
-			r.Send(p, r.id-dist, tagBarrier, nil)
-			break
-		} else if r.id+dist < size {
-			r.Recv(p, r.id+dist, tagBarrier)
-		}
-	}
-	start := 1
-	for start*2 < size {
-		start *= 2
-	}
-	for dist := start; dist >= 1; dist /= 2 {
-		if r.id&dist != 0 {
-			r.Recv(p, r.id-dist, tagBarrier+1)
-			break
-		}
-	}
-	for dist := start; dist >= 1; dist /= 2 {
-		if r.id&dist == 0 && r.id+dist < size {
-			r.Send(p, r.id+dist, tagBarrier+1, nil)
-		}
-	}
-}
-
-// Bcast broadcasts from root over a binomial tree; non-roots return the
-// received payload.
-func (r *Rank) Bcast(p *sim.Proc, root int, data []float64) []float64 {
-	size := len(r.world.ranks)
-	rel := (r.id - root + size) % size
-	if rel != 0 {
-		h := 1
-		for h*2 <= rel {
-			h *= 2
-		}
-		src := (rel - h + root) % size
-		data = r.Recv(p, src, tagBcast).Data
-	}
-	h := 1
-	for h <= rel {
-		h *= 2
-	}
-	for ; rel+h < size; h *= 2 {
-		r.Send(p, (rel+h+root)%size, tagBcast, data)
-	}
-	return data
-}
-
-// Allreduce sums each rank's vector elementwise across all ranks.
-func (r *Rank) Allreduce(p *sim.Proc, vals []float64) []float64 {
-	size := len(r.world.ranks)
-	acc := append([]float64(nil), vals...)
-	var toRoot bool
-	for h := 1; h < size; h *= 2 {
-		if r.id&h != 0 {
-			r.Send(p, r.id-h, tagReduce, acc)
-			toRoot = true
-			break
-		}
-		if r.id+h < size {
-			msg := r.Recv(p, r.id+h, tagReduce)
-			for i := range acc {
-				acc[i] += msg.Data[i]
-			}
-		}
-	}
-	if toRoot {
-		acc = nil
-	}
-	return r.Bcast(p, 0, acc)
-}
-
-// RPCKind selects the remote-procedure-call target of §V.C.
-type RPCKind int
-
-// The two RPC services the paper's Sweep3D uses.
-const (
-	RPCMallocOnPPE RPCKind = iota // main-memory allocation
-	RPCReadOnHost                 // input-file read on the Opteron
-)
-
-// RPC performs a synchronous remote call: a round trip to the PPE, or
-// through DaCS to the Opteron, returning after the reply. The modelled
-// reply payload adds transfer time for replySize bytes on the return leg.
-func (r *Rank) RPC(p *sim.Proc, kind RPCKind, replySize units.Size) {
-	w := r.world
-	ck := cellKey{r.addr.Node, r.addr.Cell}
-	switch kind {
-	case RPCMallocOnPPE:
-		// SPE <-> PPE mailbox round trip.
-		p.Sleep(2 * params.LocalSegment)
-	case RPCReadOnHost:
-		p.Sleep(params.LocalSegment)
-		w.pairs[ck].Send(p, dacs.CellToOpteron, 64) // request descriptor
-		w.pairs[ck].Send(p, dacs.OpteronToCell, replySize)
-		p.Sleep(params.LocalSegment)
+	case s.src.Node == s.dst.Node && s.src.Cell == s.dst.Cell:
+		s.path = socketPath
+	case s.src.Node == s.dst.Node:
+		s.path = nodePath
 	default:
-		panic(fmt.Sprintf("cml: rpc kind %d", kind))
+		s.path = fabricPath
+		pr := &w.cfg.IB
+		s.fabLat = units.Time(w.fab.Hops(s.src.Node, s.dst.Node)) * pr.HopLatency
+		s.pairBW = pr.PairBandwidth(r.opteronCore(), to.opteronCore())
 	}
+	s.step()
+}
+
+// step starts the path's next segment; a segment that does not apply to
+// the message (an empty DMA or stream, an eager message's rendezvous)
+// is skipped in the same instant. After the last segment the message is
+// delivered and the sender continues.
+func (s *send) step() {
+	w := s.w
+	pr := &w.cfg.IB
+	size := s.msg.Size
+	for s.pc < len(s.path) {
+		l := s.path[s.pc]
+		s.pc++
+		switch l {
+		case legSocket:
+			w.eng.Schedule(params.CMLIntraSocketLatency, s.stepFn)
+			return
+		case legDMA:
+			if size > 0 {
+				mfc := w.mfcs[cellKey{s.src.Node, s.src.Cell}][s.src.SPE]
+				mfc.StartDMA(&s.dma, eib.Element{Kind: eib.SPE, ID: s.dst.SPE}, size, s.stepFn)
+				return
+			}
+		case legLocal:
+			w.eng.Schedule(params.LocalSegment, s.stepFn)
+			return
+		case legUp:
+			w.pairs[cellKey{s.src.Node, s.src.Cell}].Start(&s.dacs, dacs.CellToOpteron, size, s.stepFn)
+			return
+		case legDown:
+			w.pairs[cellKey{s.dst.Node, s.dst.Cell}].Start(&s.dacs, dacs.OpteronToCell, size, s.stepFn)
+			return
+		case legOverhead:
+			w.eng.Schedule(pr.PerSideOverhead, s.stepFn)
+			return
+		case legRendezvous:
+			if size > pr.EagerThreshold {
+				w.eng.Schedule(2*(2*pr.PerSideOverhead+s.fabLat), s.stepFn)
+				return
+			}
+		case legStream:
+			if size > 0 {
+				// Only the sender's adapter carries the flow: the
+				// loopback pairing registers one egress flow.
+				h := w.hcas[s.src.Node]
+				ib.BeginBetween(h, h, size)
+				s.remaining = size
+				s.chunk()
+				return
+			}
+		case legWire:
+			w.eng.Schedule(s.fabLat+pr.PerSideOverhead, s.stepFn)
+			return
+		}
+	}
+	msg, deliver, then := s.msg, s.deliver, s.then
+	s.msg, s.deliver, s.then = nil, nil, nil
+	s.next, w.free = w.free, s
+	deliver(msg)
+	then()
+}
+
+// chunk schedules the next HCA chunk interval at the adapter's current
+// sharing state; after the last one the flow ends and the path goes on.
+func (s *send) chunk() {
+	h := s.w.hcas[s.src.Node]
+	if s.remaining == 0 {
+		ib.EndBetween(h, h)
+		s.step()
+		return
+	}
+	c, t := ib.StepBetween(h, h, s.remaining, s.pairBW)
+	s.remaining -= c
+	s.w.eng.Schedule(t, s.chunkFn)
 }

@@ -17,17 +17,12 @@ func twoNodeWorld(eng *sim.Engine) *World {
 	return w
 }
 
+// oneWay sends n values from rank src to rank dst on an idle world and
+// returns the delivery time.
 func oneWay(t *testing.T, w *World, eng *sim.Engine, src, dst int, n int) units.Time {
 	t.Helper()
 	var arrive units.Time
-	data := make([]float64, n)
-	eng.Spawn("recv", func(p *sim.Proc) {
-		w.Rank(dst).Recv(p, src, 1)
-		arrive = p.Now()
-	})
-	eng.Spawn("send", func(p *sim.Proc) {
-		w.Rank(src).Send(p, dst, 1, data)
-	})
+	w.Rank(src).StartSend(dst, 1, make([]float64, n), func(*Message) { arrive = eng.Now() }, func() {})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +32,6 @@ func oneWay(t *testing.T, w *World, eng *sim.Engine, src, dst int, n int) units.
 func TestIntraSocketLatency(t *testing.T) {
 	// Ranks 0 and 1 share a socket: 0.272 us zero-byte.
 	eng := sim.NewEngine()
-	defer eng.Close()
 	w := twoNodeWorld(eng)
 	got := oneWay(t, w, eng, 0, 1, 0)
 	if got != params.CMLIntraSocketLatency {
@@ -48,7 +42,6 @@ func TestIntraSocketLatency(t *testing.T) {
 func TestIntraSocketBandwidth(t *testing.T) {
 	// 128 KB between socket mates: ~22.4 GB/s.
 	eng := sim.NewEngine()
-	defer eng.Close()
 	w := twoNodeWorld(eng)
 	size := 128 * units.KB
 	got := oneWay(t, w, eng, 0, 1, int(size)/8)
@@ -62,7 +55,6 @@ func TestFig6InternodeLatency(t *testing.T) {
 	// Zero-byte Cell-to-Cell across adjacent nodes: 8.78 us
 	// (0.12 + 3.19 + 2.16 + 3.19 + 0.12).
 	eng := sim.NewEngine()
-	defer eng.Close()
 	w := twoNodeWorld(eng)
 	got := oneWay(t, w, eng, 0, RanksPerNode, 0)
 	want := units.FromMicroseconds(8.78)
@@ -76,17 +68,14 @@ func TestTransportOrdering(t *testing.T) {
 	eng1 := sim.NewEngine()
 	w := twoNodeWorld(eng1)
 	intra := oneWay(t, w, eng1, 0, 1, 0)
-	eng1.Close()
 
 	eng2 := sim.NewEngine()
 	w = twoNodeWorld(eng2)
 	cross := oneWay(t, w, eng2, 0, SPEsPerCell, 0) // cell 0 -> cell 1 same node
-	eng2.Close()
 
 	eng3 := sim.NewEngine()
 	w = twoNodeWorld(eng3)
 	inter := oneWay(t, w, eng3, 0, RanksPerNode, 0)
-	eng3.Close()
 
 	if !(intra < cross && cross < inter) {
 		t.Errorf("ordering: %v %v %v", intra, cross, inter)
@@ -103,14 +92,12 @@ func TestPeakPCIeFaster(t *testing.T) {
 	wA.AddNodeRanks(fabric.FromGlobal(0))
 	wA.AddNodeRanks(fabric.FromGlobal(1))
 	cur := oneWay(t, wA, engA, 0, RanksPerNode, 0)
-	engA.Close()
 
 	engB := sim.NewEngine()
 	wB := NewWorld(engB, fabric.New(), PeakPCIe())
 	wB.AddNodeRanks(fabric.FromGlobal(0))
 	wB.AddNodeRanks(fabric.FromGlobal(1))
 	best := oneWay(t, wB, engB, 0, RanksPerNode, 0)
-	engB.Close()
 
 	if best >= cur {
 		t.Errorf("peak PCIe %v >= current %v", best, cur)
@@ -124,124 +111,22 @@ func TestPeakPCIeFaster(t *testing.T) {
 
 func TestPayloadIntegrityThroughFullPath(t *testing.T) {
 	eng := sim.NewEngine()
-	defer eng.Close()
 	w := twoNodeWorld(eng)
 	data := []float64{1, 2, 3, 5, 8, 13}
-	var got []float64
-	eng.Spawn("recv", func(p *sim.Proc) {
-		got = w.Rank(RanksPerNode+5).Recv(p, -1, -1).Data
-	})
-	eng.Spawn("send", func(p *sim.Proc) {
-		w.Rank(0).Send(p, RanksPerNode+5, 9, data)
-	})
+	var got *Message
+	sent := false
+	w.Rank(0).StartSend(RanksPerNode+5, 9, data, func(m *Message) { got = m }, func() { sent = got != nil })
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 6 || got[5] != 13 {
-		t.Errorf("payload = %v", got)
+	if got == nil || len(got.Data) != 6 || got.Data[5] != 13 {
+		t.Fatalf("payload = %+v", got)
 	}
-}
-
-func TestBarrierAcrossNodes(t *testing.T) {
-	eng := sim.NewEngine()
-	defer eng.Close()
-	w := twoNodeWorld(eng)
-	n := w.Size()
-	reached := make([]units.Time, n)
-	for i := 0; i < n; i++ {
-		i := i
-		r := w.Rank(i)
-		eng.SpawnAt(units.Time(i)*units.Nanosecond, "r", func(p *sim.Proc) {
-			r.Barrier(p)
-			reached[i] = p.Now()
-		})
+	if got.Src != 0 || got.Dst != RanksPerNode+5 || got.Tag != 9 || got.Size != 48 {
+		t.Errorf("envelope = %+v", got)
 	}
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	entry := units.Time(n-1) * units.Nanosecond
-	for i, tm := range reached {
-		if tm < entry {
-			t.Errorf("rank %d left at %v before last entry", i, tm)
-		}
-	}
-}
-
-func TestAllreduceSums(t *testing.T) {
-	eng := sim.NewEngine()
-	defer eng.Close()
-	w := NewWorld(eng, fabric.New(), CurrentSoftware())
-	w.AddNodeRanks(fabric.FromGlobal(0))
-	n := w.Size()
-	got := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		i := i
-		r := w.Rank(i)
-		eng.Spawn("r", func(p *sim.Proc) {
-			got[i] = r.Allreduce(p, []float64{1, float64(i)})
-		})
-	}
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	wantSum := float64(n*(n-1)) / 2
-	for i := range got {
-		if got[i][0] != float64(n) || got[i][1] != wantSum {
-			t.Errorf("rank %d = %v", i, got[i])
-		}
-	}
-}
-
-func TestBcastFromSPERank(t *testing.T) {
-	eng := sim.NewEngine()
-	defer eng.Close()
-	w := twoNodeWorld(eng)
-	n := w.Size()
-	got := make([][]float64, n)
-	root := 3
-	for i := 0; i < n; i++ {
-		i := i
-		r := w.Rank(i)
-		eng.Spawn("r", func(p *sim.Proc) {
-			var d []float64
-			if i == root {
-				d = []float64{99}
-			}
-			got[i] = r.Bcast(p, root, d)
-		})
-	}
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if len(got[i]) != 1 || got[i][0] != 99 {
-			t.Errorf("rank %d = %v", i, got[i])
-		}
-	}
-}
-
-func TestRPC(t *testing.T) {
-	eng := sim.NewEngine()
-	defer eng.Close()
-	w := twoNodeWorld(eng)
-	var tMalloc, tRead units.Time
-	eng.Spawn("r", func(p *sim.Proc) {
-		start := p.Now()
-		w.Rank(0).RPC(p, RPCMallocOnPPE, 0)
-		tMalloc = p.Now() - start
-		start = p.Now()
-		w.Rank(0).RPC(p, RPCReadOnHost, 4*units.KB)
-		tRead = p.Now() - start
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if tMalloc != 2*params.LocalSegment {
-		t.Errorf("malloc RPC = %v", tMalloc)
-	}
-	// The host read crosses DaCS twice: several microseconds minimum.
-	if tRead < units.FromMicroseconds(6) {
-		t.Errorf("read RPC = %v, want > 6us", tRead)
+	if !sent {
+		t.Error("sender continued before the delivery")
 	}
 }
 
@@ -252,7 +137,6 @@ func TestAddrValidation(t *testing.T) {
 		}
 	}()
 	eng := sim.NewEngine()
-	defer eng.Close()
 	w := NewWorld(eng, fabric.New(), CurrentSoftware())
 	w.AddRank(Addr{fabric.FromGlobal(0), 4, 0})
 }

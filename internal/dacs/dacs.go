@@ -10,8 +10,8 @@
 // ~1.3 GB/s aggregate — 64% of twice the unidirectional rate (Fig. 7).
 //
 // Both an analytic model (OneWay/BandwidthAt, used by figures and the
-// wavefront model) and a DES transport (Pair.Send, used by CML) are
-// provided; they agree by construction.
+// wavefront model) and a DES transport (Pair.Start, an event chain CML's
+// messages run through) are provided; they agree by construction.
 package dacs
 
 import (
@@ -126,35 +126,82 @@ func NewPair(eng *sim.Engine, name string, pr Profile) *Pair {
 	return p
 }
 
-// Send blocks the calling proc for the duration of a message transfer in
-// the given direction, modelling per-direction FIFO ordering and duplex
-// driver contention. It returns when the message has fully arrived at
-// the far side.
-func (pa *Pair) Send(p *sim.Proc, d Dir, size units.Size) {
+// Send is one message crossing a Pair as an event chain. The caller owns
+// the value and may start the next message on it once the previous
+// one's continuation has run; its step event is bound on first use, so a
+// reused Send allocates nothing.
+type Send struct {
+	pair      *Pair
+	dir       Dir
+	size      units.Size
+	remaining units.Size
+	stage     uint8
+	then      func()
+	stepFn    func()
+}
+
+// Send stages: the wire is granted; the latency, then the rendezvous
+// overhead, is elapsing; the payload is streaming.
+const (
+	sendGranted = iota
+	sendLatency
+	sendRendezvous
+	sendStream
+)
+
+// Start moves size bytes across the pair in direction d on s, modelling
+// per-direction FIFO ordering and duplex driver contention, and runs
+// then once the message has fully arrived at the far side and the
+// direction's wire is released, from the event that ends its last
+// interval. The chain takes the wire (queueing FIFO behind earlier
+// messages), then schedules one event for the latency, one for the
+// rendezvous overhead above the eager threshold, and one per stream
+// chunk at the rate the duplex state allows when the chunk starts.
+func (pa *Pair) Start(s *Send, d Dir, size units.Size, then func()) {
 	if d != CellToOpteron && d != OpteronToCell {
 		panic(fmt.Sprintf("dacs: bad direction %d", d))
 	}
-	pr := pa.Profile
-	pa.wire[d].Acquire(p, 1)
-	p.Sleep(pr.Latency)
-	if size > pr.EagerThreshold {
-		p.Sleep(pr.RendezvousOverhead)
+	if s.stepFn == nil {
+		s.stepFn = s.step
 	}
-	pa.active[d]++
-	remaining := size
-	for remaining > 0 {
-		chunk := remaining
-		if chunk > chunkSize {
-			chunk = chunkSize
+	s.pair, s.dir, s.size, s.then = pa, d, size, then
+	s.stage = sendGranted
+	if pa.wire[d].AcquireFn(1, s.stepFn) {
+		s.step()
+	}
+}
+
+// step advances the chain by one interval.
+func (s *Send) step() {
+	pa := s.pair
+	pr := &pa.Profile
+	switch s.stage {
+	case sendGranted:
+		s.stage = sendLatency
+		pa.eng.Schedule(pr.Latency, s.stepFn)
+		return
+	case sendLatency, sendRendezvous:
+		if s.stage == sendLatency && s.size > pr.EagerThreshold {
+			s.stage = sendRendezvous
+			pa.eng.Schedule(pr.RendezvousOverhead, s.stepFn)
+			return
 		}
+		s.stage = sendStream
+		pa.active[s.dir]++
+		s.remaining = s.size
+	}
+	if s.remaining > 0 {
+		chunk := min(s.remaining, chunkSize)
 		rate := pr.StreamBandwidth
-		if pa.active[1-d] > 0 {
+		if pa.active[1-s.dir] > 0 {
 			// Duplex: both directions share the driver path.
 			rate = pr.PairAggregate / 2
 		}
-		p.Sleep(rate.TransferTime(chunk))
-		remaining -= chunk
+		s.remaining -= chunk
+		pa.eng.Schedule(rate.TransferTime(chunk), s.stepFn)
+		return
 	}
-	pa.active[d]--
-	pa.wire[d].Release(1)
+	pa.active[s.dir]--
+	pa.wire[s.dir].Release(1)
+	s.then()
 }

@@ -66,17 +66,14 @@ func TestPeakPCIeProfileFaster(t *testing.T) {
 }
 
 func TestDESMatchesAnalytic(t *testing.T) {
-	// A single uncontended Send takes exactly OneWay(size).
+	// A single uncontended message takes exactly OneWay(size).
 	pr := Current()
 	for _, size := range []units.Size{0, 256, 4 * units.KB, 128 * units.KB, 1 * units.MB} {
 		eng := sim.NewEngine()
 		pair := NewPair(eng, "p", pr)
 		var got units.Time
-		eng.Spawn("s", func(p *sim.Proc) {
-			start := p.Now()
-			pair.Send(p, CellToOpteron, size)
-			got = p.Now() - start
-		})
+		var s Send
+		pair.Start(&s, CellToOpteron, size, func() { got = eng.Now() })
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +81,6 @@ func TestDESMatchesAnalytic(t *testing.T) {
 		if d := got - want; d < -units.Nanosecond || d > units.Nanosecond {
 			t.Errorf("size %v: DES %v vs analytic %v", size, got, want)
 		}
-		eng.Close()
 	}
 }
 
@@ -99,17 +95,11 @@ func TestBidirectionalEfficiency(t *testing.T) {
 	uniBW := float64(size) / uniTime.Seconds()
 
 	eng := sim.NewEngine()
-	defer eng.Close()
 	pair := NewPair(eng, "p", pr)
 	var end units.Time
-	for d := 0; d < 2; d++ {
-		d := Dir(d)
-		eng.Spawn("s", func(p *sim.Proc) {
-			pair.Send(p, d, size)
-			if p.Now() > end {
-				end = p.Now()
-			}
-		})
+	var sends [2]Send
+	for d := range sends {
+		pair.Start(&sends[d], Dir(d), size, func() { end = max(end, eng.Now()) })
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -125,18 +115,19 @@ func TestFIFOPerDirection(t *testing.T) {
 	// Messages in one direction arrive in send order.
 	pr := Current()
 	eng := sim.NewEngine()
-	defer eng.Close()
 	pair := NewPair(eng, "p", pr)
 	var order []int
-	for i := 0; i < 4; i++ {
-		i := i
-		eng.SpawnAt(units.Time(i)*units.Nanosecond, "s", func(p *sim.Proc) {
-			pair.Send(p, CellToOpteron, 32*units.KB)
-			order = append(order, i)
+	var sends [4]Send
+	for i := range sends {
+		eng.Schedule(units.Time(i)*units.Nanosecond, func() {
+			pair.Start(&sends[i], CellToOpteron, 32*units.KB, func() { order = append(order, i) })
 		})
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if len(order) != len(sends) {
+		t.Fatalf("order = %v", order)
 	}
 	for i, v := range order {
 		if v != i {

@@ -103,53 +103,6 @@ func NewBus(eng *sim.Engine, chipName string) *Bus {
 // PortBandwidth is each element's connection rate to the ring.
 const PortBandwidth = params.CellMemBandwidth // 25.6 GB/s
 
-// Transfer moves size bytes from one element to another, blocking the
-// calling proc for the transfer duration. Both endpoint ports are held;
-// main-memory endpoints additionally hold the MIC.
-func (b *Bus) Transfer(p *sim.Proc, from, to Element, size units.Size) {
-	if size <= 0 {
-		return
-	}
-	dur := PortBandwidth.TransferTime(size)
-	b.acquirePath(p, from, to)
-	b.ringBusy.Acquire(p, 1)
-	p.Sleep(dur)
-	b.ringBusy.Release(1)
-	b.releasePath(from, to)
-}
-
-func (b *Bus) acquirePath(p *sim.Proc, from, to Element) {
-	// Deterministic lock order: MIC first, then ports by name, avoiding
-	// deadlock between opposing transfers.
-	if from.Kind == MICPort || to.Kind == MICPort {
-		b.mic.Acquire(p, 1)
-	}
-	a, c := b.ports[from], b.ports[to]
-	if a == c {
-		a.Acquire(p, 1)
-		return
-	}
-	first, second := a, c
-	if from.String() > to.String() {
-		first, second = c, a
-	}
-	first.Acquire(p, 1)
-	second.Acquire(p, 1)
-}
-
-func (b *Bus) releasePath(from, to Element) {
-	a, c := b.ports[from], b.ports[to]
-	if a == c {
-		a.Release(1)
-	} else {
-		a.Release(1)
-		c.Release(1)
-	}
-	if from.Kind == MICPort || to.Kind == MICPort {
-		b.mic.Release(1)
-	}
-}
-
 // MFC is one SPE's Memory Flow Controller: it turns DMA commands into
 // chunked EIB transfers with per-command overheads and a bounded queue.
 type MFC struct {
@@ -167,42 +120,139 @@ func NewMFC(b *Bus, id int) *MFC {
 	}
 }
 
-// dma moves size bytes between the SPE's local store and the peer element,
-// splitting into MaxDMASize chunks, each paying PerDMASetup.
-func (m *MFC) dma(p *sim.Proc, peer Element, size units.Size) {
-	m.queue.Acquire(p, 1)
-	defer m.queue.Release(1)
-	for size > 0 {
-		chunk := size
-		if chunk > MaxDMASize {
-			chunk = MaxDMASize
-		}
-		p.Sleep(PerDMASetup)
-		m.bus.Transfer(p, m.spe, peer, chunk)
-		size -= chunk
+// DMA is one MFC command in flight as an event chain. The caller owns the
+// value and may start the next command on it once the previous one's
+// continuation has run; its events are bound on first use, so a reused
+// DMA allocates nothing.
+type DMA struct {
+	mfc       *MFC
+	remaining units.Size
+	chunk     units.Size
+	from, to  *sim.Resource    // the endpoint ports
+	mic       bool             // the peer is main memory: the MIC is held too
+	path      [4]*sim.Resource // per-chunk admission order
+	npath     int
+	held      int // path entries taken for the current chunk
+	stage     uint8
+	then      func()
+	stepFn    func()
+	grantFn   func()
+}
+
+// DMA stages: waiting for a queue slot, paying a chunk's issue overhead,
+// taking the chunk's path, moving the chunk over the ring.
+const (
+	dmaQueued = iota
+	dmaSetup
+	dmaAdmit
+	dmaWire
+)
+
+// StartDMA moves size bytes (positive) between the SPE's local store and
+// the peer element on x — main memory (MICPort), the PPE, or another
+// SPE's local store across the ring (the CML fast path) — and runs then
+// once the last chunk has landed and the command's queue slot is
+// released, from the event that ends the last interval. The command
+// takes an MFC queue slot, then splits into MaxDMASize chunks: each
+// pays PerDMASetup, then holds both endpoint ports (and the MIC for a
+// main-memory peer) plus a ring slot for the chunk's wire time at the
+// port rate. Resources are taken in one deterministic order — MIC first,
+// then the ports by element name, then the ring — so opposing transfers
+// cannot deadlock.
+func (m *MFC) StartDMA(x *DMA, peer Element, size units.Size, then func()) {
+	if size <= 0 {
+		panic(fmt.Sprintf("eib: DMA of %v", size))
+	}
+	if x.stepFn == nil {
+		x.stepFn, x.grantFn = x.step, x.granted
+	}
+	b := m.bus
+	x.mfc, x.remaining, x.then = m, size, then
+	x.from, x.to = b.ports[m.spe], b.ports[peer]
+	x.mic = peer.Kind == MICPort
+	x.npath = 0
+	if x.mic {
+		x.add(b.mic)
+	}
+	if x.from == x.to {
+		x.add(x.from)
+	} else if m.spe.String() > peer.String() {
+		x.add(x.to)
+		x.add(x.from)
+	} else {
+		x.add(x.from)
+		x.add(x.to)
+	}
+	x.add(b.ringBusy)
+	x.stage = dmaQueued
+	if m.queue.AcquireFn(1, x.grantFn) {
+		x.granted()
 	}
 }
 
-// Get DMAs size bytes from main memory into the local store.
-func (m *MFC) Get(p *sim.Proc, size units.Size) {
-	m.dma(p, Element{MICPort, 0}, size)
+// add appends a resource to the chunk admission order.
+func (x *DMA) add(r *sim.Resource) {
+	x.path[x.npath] = r
+	x.npath++
 }
 
-// Put DMAs size bytes from the local store to main memory.
-func (m *MFC) Put(p *sim.Proc, size units.Size) {
-	m.dma(p, Element{MICPort, 0}, size)
+// granted continues the chain once a queued acquisition (the queue
+// slot, or the path resource at held) has been taken on its behalf.
+func (x *DMA) granted() {
+	if x.stage == dmaQueued {
+		x.setup()
+		return
+	}
+	x.held++
+	x.admit()
 }
 
-// PutTo DMAs size bytes from this SPE's local store directly into another
-// SPE's local store across the ring (the CML fast path).
-func (m *MFC) PutTo(p *sim.Proc, peer int, size units.Size) {
-	m.dma(p, Element{SPE, peer}, size)
+// setup schedules the next chunk's issue overhead.
+func (x *DMA) setup() {
+	x.chunk = min(x.remaining, MaxDMASize)
+	x.stage = dmaSetup
+	x.mfc.bus.eng.Schedule(PerDMASetup, x.stepFn)
 }
 
-// PutToPPE DMAs size bytes to the PPE's memory region (used when the PPE
-// must forward a message off-chip).
-func (m *MFC) PutToPPE(p *sim.Proc, size units.Size) {
-	m.dma(p, Element{PPE, 0}, size)
+// admit takes the chunk's path in order; a busy resource queues the
+// chain, and granted resumes it at the next entry.
+func (x *DMA) admit() {
+	for x.held < x.npath {
+		if !x.path[x.held].AcquireFn(1, x.grantFn) {
+			return
+		}
+		x.held++
+	}
+	x.stage = dmaWire
+	x.mfc.bus.eng.Schedule(PortBandwidth.TransferTime(x.chunk), x.stepFn)
+}
+
+// step ends a scheduled interval: the issue overhead, or a chunk's wire
+// time, after which the chunk's path is released and the next chunk
+// starts or the command completes.
+func (x *DMA) step() {
+	if x.stage == dmaSetup {
+		x.stage = dmaAdmit
+		x.held = 0
+		x.admit()
+		return
+	}
+	b := x.mfc.bus
+	b.ringBusy.Release(1)
+	x.from.Release(1)
+	if x.to != x.from {
+		x.to.Release(1)
+	}
+	if x.mic {
+		b.mic.Release(1)
+	}
+	x.remaining -= x.chunk
+	if x.remaining > 0 {
+		x.setup()
+		return
+	}
+	x.mfc.queue.Release(1)
+	x.then()
 }
 
 // TransferTime returns the no-contention duration of a DMA of the given

@@ -8,18 +8,17 @@ import (
 	"roadrunner/internal/units"
 )
 
+// memory is the main-memory peer of a DMA.
+var memory = Element{MICPort, 0}
+
 func TestSingleDMABandwidth(t *testing.T) {
 	// A 16 KB DMA moves at the 25.6 GB/s port rate plus one setup.
 	eng := sim.NewEngine()
-	defer eng.Close()
 	bus := NewBus(eng, "cell0")
 	mfc := NewMFC(bus, 0)
 	var elapsed units.Time
-	eng.Spawn("dma", func(p *sim.Proc) {
-		start := p.Now()
-		mfc.Get(p, 16*units.KB)
-		elapsed = p.Now() - start
-	})
+	var x DMA
+	mfc.StartDMA(&x, memory, 16*units.KB, func() { elapsed = eng.Now() })
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -55,22 +54,15 @@ func TestMICSerializesMemoryDMAs(t *testing.T) {
 	// two SPE-to-SPE transfers overlap.
 	run := func(toMemory bool) units.Time {
 		eng := sim.NewEngine()
-		defer eng.Close()
 		bus := NewBus(eng, "c")
 		var end units.Time
-		for i := 0; i < 2; i++ {
-			mfc := NewMFC(bus, i)
-			peer := 4 + i
-			eng.Spawn("dma", func(p *sim.Proc) {
-				if toMemory {
-					mfc.Get(p, 16*units.KB)
-				} else {
-					mfc.PutTo(p, peer, 16*units.KB)
-				}
-				if p.Now() > end {
-					end = p.Now()
-				}
-			})
+		var dmas [2]DMA
+		for i := range dmas {
+			peer := Element{SPE, 4 + i}
+			if toMemory {
+				peer = memory
+			}
+			NewMFC(bus, i).StartDMA(&dmas[i], peer, 16*units.KB, func() { end = max(end, eng.Now()) })
 		}
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
@@ -97,21 +89,23 @@ func TestQueueDepthLimits(t *testing.T) {
 	// 17th waits for a slot. We just verify all complete and ordering
 	// holds (no deadlock, FIFO queue).
 	eng := sim.NewEngine()
-	defer eng.Close()
 	bus := NewBus(eng, "c")
 	mfc := NewMFC(bus, 0)
-	done := 0
-	for i := 0; i < DMAQueueDepth+4; i++ {
-		eng.Spawn("dma", func(p *sim.Proc) {
-			mfc.PutTo(p, 3, 1*units.KB)
-			done++
-		})
+	var order []int
+	var dmas [DMAQueueDepth + 4]DMA
+	for i := range dmas {
+		mfc.StartDMA(&dmas[i], Element{SPE, 3}, 1*units.KB, func() { order = append(order, i) })
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if done != DMAQueueDepth+4 {
-		t.Errorf("completed = %d", done)
+	if len(order) != len(dmas) {
+		t.Fatalf("completed = %d", len(order))
+	}
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("completion order = %v", order)
+		}
 	}
 }
 
@@ -131,12 +125,11 @@ func TestOppositeTransfersNoDeadlock(t *testing.T) {
 	// SPE0 -> SPE1 and SPE1 -> SPE0 simultaneously: the deterministic
 	// port lock order must prevent deadlock.
 	eng := sim.NewEngine()
-	defer eng.Close()
 	bus := NewBus(eng, "c")
-	m0, m1 := NewMFC(bus, 0), NewMFC(bus, 1)
 	done := 0
-	eng.Spawn("a", func(p *sim.Proc) { m0.PutTo(p, 1, 64*units.KB); done++ })
-	eng.Spawn("b", func(p *sim.Proc) { m1.PutTo(p, 0, 64*units.KB); done++ })
+	var a, b DMA
+	NewMFC(bus, 0).StartDMA(&a, Element{SPE, 1}, 64*units.KB, func() { done++ })
+	NewMFC(bus, 1).StartDMA(&b, Element{SPE, 0}, 64*units.KB, func() { done++ })
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@ package ib
 
 import (
 	"roadrunner/internal/params"
-	"roadrunner/internal/sim"
 	"roadrunner/internal/units"
 )
 
@@ -113,7 +112,6 @@ const chunkSize = 64 * units.KB
 // the rate the sharing rules dictate.
 type HCA struct {
 	Profile Profile
-	eng     *sim.Engine
 	active  [2]int // flows per direction (0 = egress, 1 = ingress)
 
 	// Endpoint flow accounting, composable with the transport layer's
@@ -160,15 +158,16 @@ func (h *HCA) ResetStats() {
 	h.peak = [2]int{}
 }
 
-// NewHCA creates an HCA on the engine.
-func NewHCA(eng *sim.Engine, pr Profile) *HCA {
-	return &HCA{Profile: pr, eng: eng}
+// NewHCA creates an idle HCA. The flows through it are driven by their
+// callers' event chains (BeginBetween, StepBetween, EndBetween).
+func NewHCA(pr Profile) *HCA {
+	return &HCA{Profile: pr}
 }
 
 // FlowRate returns the per-flow rate given the current sharing state and
 // the flow's core pairing.
 func (h *HCA) flowRate(dir int, pairBW units.Bandwidth) units.Bandwidth {
-	pr := h.Profile
+	pr := &h.Profile
 	rate := pairBW
 	if n := h.active[dir]; n > 1 {
 		shared := pr.MultiFlowBandwidth / units.Bandwidth(n)
@@ -186,59 +185,21 @@ func (h *HCA) flowRate(dir int, pairBW units.Bandwidth) units.Bandwidth {
 	return rate
 }
 
-// Stream blocks the calling proc while size bytes flow through the HCA
-// in the given direction (0 egress, 1 ingress), sharing capacity with
-// concurrent flows chunk by chunk. Latency terms are the caller's
-// responsibility (they depend on hops and protocol).
-func (h *HCA) Stream(p *sim.Proc, dir int, size units.Size, pairBW units.Bandwidth) {
-	if size <= 0 {
-		return
-	}
-	h.addFlow(dir, size)
-	remaining := size
-	for remaining > 0 {
-		chunk := remaining
-		if chunk > chunkSize {
-			chunk = chunkSize
-		}
-		p.Sleep(h.flowRate(dir, pairBW).TransferTime(chunk))
-		remaining -= chunk
-	}
-	h.active[dir]--
-}
-
 // ActiveFlows reports the number of flows currently streaming in the
 // given direction (0 egress, 1 ingress).
 func (h *HCA) ActiveFlows(dir int) int { return h.active[dir] }
 
-// StreamBetween blocks p while size bytes flow from the src HCA (egress
-// side) to the dst HCA (ingress side), re-evaluating the rate chunk by
-// chunk against the sharing state of BOTH adapters: the sender's egress
-// flows serialize at the chipset rate, the receiver's ingress flows do
-// the same, and a node that is simultaneously sending and receiving hits
-// its duplex aggregate cap. This is the wire model for collective stages,
-// where ring and recursive-doubling exchanges keep every HCA busy in both
-// directions at once.
-func StreamBetween(p *sim.Proc, src, dst *HCA, size units.Size, pairBW units.Bandwidth) {
-	if size <= 0 {
-		return
-	}
-	BeginBetween(src, dst, size)
-	remaining := size
-	for remaining > 0 {
-		chunk, t := StepBetween(src, dst, remaining, pairBW)
-		p.Sleep(t)
-		remaining -= chunk
-	}
-	EndBetween(src, dst)
-}
-
-// BeginBetween registers a src→dst flow on both adapters (one egress
-// flow on loopback pairings). With StepBetween and EndBetween it is the
-// event-chain decomposition of StreamBetween: callers that cannot block
-// a proc per chunk (the transport's chained transfers) schedule one
-// event per StepBetween interval instead, producing the exact event
-// sequence the blocking form produces.
+// BeginBetween registers a flow of size bytes from the src HCA (egress
+// side) to the dst HCA (ingress side); a loopback pairing (src == dst)
+// registers one egress flow, the single-ended stream a sender's adapter
+// carries alone. With StepBetween and EndBetween it is the event-chain
+// form of a stream: a caller schedules one event per StepBetween
+// interval, re-evaluating the rate chunk by chunk against the sharing
+// state of both adapters — the sender's egress flows serialize at the
+// chipset rate, the receiver's ingress flows do the same, and a node
+// that is simultaneously sending and receiving hits its duplex aggregate
+// cap. This is the wire model of the transport's chained transfers and
+// of CML's internode leg.
 func BeginBetween(src, dst *HCA, size units.Size) {
 	src.addFlow(0, size)
 	if src != dst {

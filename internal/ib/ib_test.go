@@ -73,17 +73,44 @@ func TestBandwidthAtLargeMessage(t *testing.T) {
 	}
 }
 
+// flow streams size bytes from src to dst as an event chain —
+// BeginBetween, one event per StepBetween interval, EndBetween — from
+// now, and reports its duration to done.
+func flow(eng *sim.Engine, src, dst *HCA, size units.Size, pairBW units.Bandwidth, done func(units.Time)) {
+	start := eng.Now()
+	BeginBetween(src, dst, size)
+	remaining := size
+	var step func()
+	step = func() {
+		if remaining == 0 {
+			EndBetween(src, dst)
+			done(eng.Now() - start)
+			return
+		}
+		chunk, t := StepBetween(src, dst, remaining, pairBW)
+		remaining -= chunk
+		eng.Schedule(t, step)
+	}
+	step()
+}
+
+// slowest records the longest duration reported to it.
+func slowest(d *units.Time) func(units.Time) {
+	return func(t units.Time) {
+		if t > *d {
+			*d = t
+		}
+	}
+}
+
 func TestHCASingleFlowFullRate(t *testing.T) {
+	// A single-ended stream (the loopback pairing registers one egress
+	// flow) on an idle adapter runs at the pair rate.
 	eng := sim.NewEngine()
-	defer eng.Close()
-	h := NewHCA(eng, OpenMPI())
+	h := NewHCA(OpenMPI())
 	size := 1 * units.MB
 	var dur units.Time
-	eng.Spawn("f", func(p *sim.Proc) {
-		start := p.Now()
-		h.Stream(p, 0, size, h.Profile.NearBandwidth)
-		dur = p.Now() - start
-	})
+	flow(eng, h, h, size, h.Profile.NearBandwidth, slowest(&dur))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -97,23 +124,16 @@ func TestHCAFourFlowSharing(t *testing.T) {
 	// Fig. 7 internode unidirectional: four Cell-Opteron pairs share the
 	// HCA; the worst pair's rate is MultiFlow/4 ~ 272 MB/s.
 	eng := sim.NewEngine()
-	defer eng.Close()
-	h := NewHCA(eng, OpenMPI())
+	h := NewHCA(OpenMPI())
 	size := 1 * units.MB
-	var slowest units.Time
+	var worst units.Time
 	for i := 0; i < 4; i++ {
-		eng.Spawn("f", func(p *sim.Proc) {
-			start := p.Now()
-			h.Stream(p, 0, size, h.Profile.PairBandwidth(1, 3))
-			if d := p.Now() - start; d > slowest {
-				slowest = d
-			}
-		})
+		flow(eng, h, h, size, h.Profile.PairBandwidth(1, 3), slowest(&worst))
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	bw := float64(size) / slowest.Seconds() / 1e6
+	bw := float64(size) / worst.Seconds() / 1e6
 	if math.Abs(bw-272)/272 > 0.05 {
 		t.Errorf("worst of 4 flows = %.0f MB/s, want ~272", bw)
 	}
@@ -122,26 +142,24 @@ func TestHCAFourFlowSharing(t *testing.T) {
 func TestHCADuplexCap(t *testing.T) {
 	// Eight flows, four per direction: per-flow 1.5 GB/s / 8 = 187.5
 	// MB/s; a pair's two directions total ~375 MB/s (Fig. 7 internode
-	// bidirectional).
+	// bidirectional). The egress flows are single-ended; each ingress
+	// flow comes from an otherwise idle adapter.
 	eng := sim.NewEngine()
-	defer eng.Close()
-	h := NewHCA(eng, OpenMPI())
+	pr := OpenMPI()
+	h := NewHCA(pr)
 	size := 1 * units.MB
-	var slowest units.Time
+	var worst units.Time
 	for i := 0; i < 8; i++ {
-		dir := i % 2
-		eng.Spawn("f", func(p *sim.Proc) {
-			start := p.Now()
-			h.Stream(p, dir, size, h.Profile.PairBandwidth(1, 3))
-			if d := p.Now() - start; d > slowest {
-				slowest = d
-			}
-		})
+		src := h
+		if i%2 == 1 {
+			src = NewHCA(pr)
+		}
+		flow(eng, src, h, size, pr.PairBandwidth(1, 3), slowest(&worst))
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	perFlow := float64(size) / slowest.Seconds() / 1e6
+	perFlow := float64(size) / worst.Seconds() / 1e6
 	pairAggregate := perFlow * 2
 	if math.Abs(pairAggregate-375)/375 > 0.05 {
 		t.Errorf("duplex pair aggregate = %.0f MB/s, want ~375", pairAggregate)
@@ -156,18 +174,13 @@ func TestNearCore(t *testing.T) {
 
 func TestStreamBetweenSingleFlowFullRate(t *testing.T) {
 	// With idle adapters on both ends, a pair stream runs at the pair
-	// bandwidth, identical to a single-ended Stream.
+	// bandwidth, identical to a single-ended stream.
 	eng := sim.NewEngine()
-	defer eng.Close()
 	pr := OpenMPI()
-	src, dst := NewHCA(eng, pr), NewHCA(eng, pr)
+	src, dst := NewHCA(pr), NewHCA(pr)
 	size := 1 * units.MB
 	var dur units.Time
-	eng.Spawn("f", func(p *sim.Proc) {
-		start := p.Now()
-		StreamBetween(p, src, dst, size, pr.NearBandwidth)
-		dur = p.Now() - start
-	})
+	flow(eng, src, dst, size, pr.NearBandwidth, slowest(&dur))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -198,26 +211,16 @@ func TestStreamBetweenDuplexExchange(t *testing.T) {
 	// one flow in each direction on both HCAs: the duplex aggregate cap
 	// bounds each direction at 1.5 GB/s / 2 = 750 MB/s.
 	eng := sim.NewEngine()
-	defer eng.Close()
 	pr := OpenMPI()
-	a, b := NewHCA(eng, pr), NewHCA(eng, pr)
+	a, b := NewHCA(pr), NewHCA(pr)
 	size := 1 * units.MB
-	var slowest units.Time
-	run := func(src, dst *HCA) {
-		eng.Spawn("f", func(p *sim.Proc) {
-			start := p.Now()
-			StreamBetween(p, src, dst, size, pr.PairBandwidth(1, 3))
-			if d := p.Now() - start; d > slowest {
-				slowest = d
-			}
-		})
-	}
-	run(a, b)
-	run(b, a)
+	var worst units.Time
+	flow(eng, a, b, size, pr.PairBandwidth(1, 3), slowest(&worst))
+	flow(eng, b, a, size, pr.PairBandwidth(1, 3), slowest(&worst))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	bw := float64(size) / slowest.Seconds() / 1e6
+	bw := float64(size) / worst.Seconds() / 1e6
 	if math.Abs(bw-750)/750 > 0.05 {
 		t.Errorf("duplex exchange per-direction = %.0f MB/s, want ~750", bw)
 	}
@@ -228,26 +231,18 @@ func TestStreamBetweenIngressSerialization(t *testing.T) {
 	// serializes the flows at the chipset rate, so each sees ~MultiFlow/2
 	// even though both egress adapters are otherwise idle.
 	eng := sim.NewEngine()
-	defer eng.Close()
 	pr := OpenMPI()
-	dst := NewHCA(eng, pr)
+	dst := NewHCA(pr)
 	size := 1 * units.MB
-	var slowest units.Time
+	var worst units.Time
 	for i := 0; i < 2; i++ {
-		src := NewHCA(eng, pr)
-		eng.Spawn("f", func(p *sim.Proc) {
-			start := p.Now()
-			StreamBetween(p, src, dst, size, pr.PairBandwidth(1, 3))
-			if d := p.Now() - start; d > slowest {
-				slowest = d
-			}
-		})
+		flow(eng, NewHCA(pr), dst, size, pr.PairBandwidth(1, 3), slowest(&worst))
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
 	want := float64(pr.MultiFlowBandwidth) / 2 / 1e6
-	bw := float64(size) / slowest.Seconds() / 1e6
+	bw := float64(size) / worst.Seconds() / 1e6
 	if math.Abs(bw-want)/want > 0.05 {
 		t.Errorf("2-into-1 per-flow = %.0f MB/s, want ~%.0f", bw, want)
 	}
@@ -255,15 +250,10 @@ func TestStreamBetweenIngressSerialization(t *testing.T) {
 
 func TestStreamBetweenSameHCALoopback(t *testing.T) {
 	eng := sim.NewEngine()
-	defer eng.Close()
 	pr := OpenMPI()
-	h := NewHCA(eng, pr)
+	h := NewHCA(pr)
 	var dur units.Time
-	eng.Spawn("f", func(p *sim.Proc) {
-		start := p.Now()
-		StreamBetween(p, h, h, 64*units.KB, pr.NearBandwidth)
-		dur = p.Now() - start
-	})
+	flow(eng, h, h, 64*units.KB, pr.NearBandwidth, slowest(&dur))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}

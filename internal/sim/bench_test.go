@@ -15,18 +15,15 @@ import (
 //	before (container/heap over []*event, map proc sets, eager reasons):
 //	  BenchmarkEventLoop         445718 ns/op   95512 B/op   3087 allocs/op
 //	  BenchmarkProcParkUnpark   2773420 ns/op  183035 B/op  12768 allocs/op
-//	  BenchmarkMailboxPingPong   711675 ns/op   56766 B/op   4117 allocs/op
 //
 //	after (value-slab binary heap, intrusive lists, reusable wake closures):
 //	  BenchmarkEventLoop         265646 ns/op   75864 B/op   1036 allocs/op
 //	  BenchmarkProcParkUnpark   1427189 ns/op   30170 B/op    392 allocs/op
-//	  BenchmarkMailboxPingPong   516821 ns/op    9520 B/op   1044 allocs/op
 //
 //	after PR 5 (iter.Pull coroutine procs, lazy parked set, hole-sift
 //	heap, shift-down queue pops):
 //	  BenchmarkEventLoop         256195 ns/op   75848 B/op   1036 allocs/op
 //	  BenchmarkProcParkUnpark    524442 ns/op   36296 B/op    968 allocs/op
-//	  BenchmarkMailboxPingPong   143468 ns/op    1544 B/op     43 allocs/op
 func BenchmarkEventLoop(b *testing.B) {
 	const batch = 1024
 	b.ReportAllocs()
@@ -60,35 +57,6 @@ func BenchmarkProcParkUnpark(b *testing.B) {
 				}
 			})
 		}
-		if err := e.Run(); err != nil {
-			b.Fatal(err)
-		}
-		e.Close()
-	}
-}
-
-// BenchmarkMailboxPingPong measures two procs bouncing messages through
-// mailboxes — the pattern underlying every modelled MPI exchange.
-func BenchmarkMailboxPingPong(b *testing.B) {
-	const rounds = 256
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e := NewEngine()
-		ab := NewMailbox[int](e, "ab")
-		ba := NewMailbox[int](e, "ba")
-		e.Spawn("a", func(p *Proc) {
-			for r := 0; r < rounds; r++ {
-				ab.Put(r)
-				ba.Get(p)
-			}
-		})
-		e.Spawn("b", func(p *Proc) {
-			for r := 0; r < rounds; r++ {
-				ab.Get(p)
-				p.Sleep(units.Nanosecond)
-				ba.Put(r)
-			}
-		})
 		if err := e.Run(); err != nil {
 			b.Fatal(err)
 		}

@@ -1,28 +1,31 @@
-// Package sim implements a deterministic discrete-event simulation engine
-// with cooperative coroutine processes.
+// Package sim implements a deterministic discrete-event simulation engine.
 //
 // The engine maintains a calendar of timestamped events. Ties are broken by
-// insertion sequence, so a given program always replays identically. On top
-// of raw events the package offers Procs — coroutines that execute
-// simulation logic written in a natural blocking style (Sleep, Park,
-// mailbox Get) — while the engine guarantees that at most one of them
-// (the engine loop or exactly one Proc) runs at any instant. This keeps the
-// simulation deterministic and free of data races without any locking in
-// model code.
+// insertion sequence, so a given program always replays identically. Every
+// model in the module is written as plain events: the rank walkers of trace
+// replay, of the collectives and of the Sweep3D DES keep their own program
+// counters and schedule their next steps, the transfer chains under them
+// (transport, CML, DaCS, EIB) schedule one event per interval, and a shared
+// server — a link, a DMA queue, a DaCS wire — queues a continuation on a
+// Resource (AcquireFn) instead of a blocked process.
+//
+// The package also offers Procs: coroutines that run simulation logic
+// written in a blocking style (Sleep, Park, Resumer), while the engine
+// guarantees that at most one of them (or the engine loop) runs at any
+// instant. Their one caller outside tests is perfbench's
+// transport.transfer_ns rung, which drives the blocking
+// transport.(*Net).Transfer from a proc; once that rung moves onto the
+// transfer chain, proc.go, the engine's proc list, Close's kill and the
+// proc half of DeadlockError can go.
 //
 // The calendar is a 4-ary min-heap of event values held in one slab
 // slice: scheduling an event costs no allocation beyond amortised slice
-// growth, and dispatching never touches the garbage collector. Procs ride
-// iter.Pull coroutines (direct runtime switches, no channel round trips)
-// and the live set is an intrusive list threaded through the Procs
-// themselves. Models whose actors never block — the event-driven rank
-// walkers of trace replay and of the collectives — schedule plain
-// events and need no procs at all. A finished engine can be Reset with its calendar slab retained,
-// so pooled callers (the replay evaluator) pay construction once per
-// search, not per evaluation. All of it matters because the experiment
-// orchestrator runs one engine per experiment across all CPUs at once,
-// and the placement optimizer replays tens of thousands of evaluations
-// per run.
+// growth, and dispatching never touches the garbage collector. A finished
+// engine can be Reset with its calendar slab retained, so pooled callers
+// (the replay evaluator) pay construction once per search, not per
+// evaluation. All of it matters because the experiment orchestrator runs
+// one engine per experiment across all CPUs at once, and the placement
+// optimizer replays tens of thousands of evaluations per run.
 package sim
 
 import (

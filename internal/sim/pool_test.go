@@ -63,8 +63,7 @@ func TestEngineResetRefusesDirtyState(t *testing.T) {
 
 	e2 := NewEngine()
 	defer e2.Close()
-	box := NewMailbox[int](e2, "box")
-	e2.Spawn("stuck", func(p *Proc) { box.Get(p) })
+	e2.Spawn("stuck", func(p *Proc) { p.Park("forever") })
 	if err := e2.Run(); err == nil {
 		t.Fatal("expected deadlock")
 	}
@@ -97,39 +96,36 @@ func TestWakeAfter(t *testing.T) {
 }
 
 // TestResourceAcquireFn: the event-chain acquisition grants inline when
-// free, queues FIFO behind proc waiters when contended, and keeps the
-// same occupancy accounting.
+// free, queues FIFO when contended, and keeps the occupancy accounting.
 func TestResourceAcquireFn(t *testing.T) {
 	e := NewEngine()
-	defer e.Close()
 	r := NewResource(e, "link", 1)
 	var order []string
-	e.Spawn("holder", func(p *Proc) {
-		r.Acquire(p, 1)
-		p.Sleep(10 * units.Microsecond)
-		order = append(order, "holder-release")
-		r.Release(1)
-	})
-	// A proc waiter queues first, then the fn waiter: grants must come
-	// in FIFO order.
-	e.SpawnAt(units.Microsecond, "second", func(p *Proc) {
-		r.Acquire(p, 1)
-		order = append(order, "second")
-		p.Sleep(5 * units.Microsecond)
-		r.Release(1)
-	})
-	e.Schedule(2*units.Microsecond, func() {
-		if r.AcquireFn(1, func() {
-			order = append(order, "fn")
-			r.Release(1)
-		}) {
-			t.Error("contended AcquireFn granted inline")
+	e.Schedule(0, func() {
+		if !r.AcquireFn(1, nil) {
+			t.Error("free AcquireFn queued")
 		}
+		e.Schedule(10*units.Microsecond, func() {
+			order = append(order, "holder-release")
+			r.Release(1)
+		})
 	})
+	// Two waiters queue behind the holder: grants must come in FIFO
+	// order.
+	for i, name := range []string{"second", "third"} {
+		e.Schedule(units.Time(1+i)*units.Microsecond, func() {
+			if r.AcquireFn(1, func() {
+				order = append(order, name)
+				e.Schedule(5*units.Microsecond, func() { r.Release(1) })
+			}) {
+				t.Errorf("contended AcquireFn %s granted inline", name)
+			}
+		})
+	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"holder-release", "second", "fn"}
+	want := []string{"holder-release", "second", "third"}
 	if len(order) != 3 || order[0] != want[0] || order[1] != want[1] || order[2] != want[2] {
 		t.Errorf("grant order %v, want %v", order, want)
 	}
@@ -148,23 +144,19 @@ func TestResourceAcquireFn(t *testing.T) {
 	if !granted {
 		t.Error("free AcquireFn not granted inline")
 	}
-	r.Release(1)
-	// ResetStats zeroes the accounting and refuses a busy resource.
-	r.ResetStats()
-	if st := r.Stats(); st.Acquires != 0 || st.Contended != 0 || st.WaitTime != 0 || st.BusyTime != 0 {
-		t.Errorf("stats after reset: %+v", st)
-	}
-	e.Spawn("busy", func(p *Proc) {
-		r.Acquire(p, 1)
+	// ResetStats refuses a busy resource, then zeroes the accounting of
+	// an idle one.
+	func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("ResetStats of a held resource did not panic")
 			}
-			r.Release(1)
 		}()
 		r.ResetStats()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
+	}()
+	r.Release(1)
+	r.ResetStats()
+	if st := r.Stats(); st.Acquires != 0 || st.Contended != 0 || st.WaitTime != 0 || st.BusyTime != 0 {
+		t.Errorf("stats after reset: %+v", st)
 	}
 }

@@ -103,8 +103,7 @@ type Proc struct {
 }
 
 // Spawn creates a process named name executing body, starting at Now().
-// The body runs in simulation context: it may Sleep, Park and use the
-// blocking structures in this package.
+// The body runs in simulation context: it may Sleep and Park.
 func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 	return e.SpawnAt(0, name, body)
 }
@@ -214,12 +213,6 @@ func (p *Proc) Resumer() func() {
 	p.wakePending = true
 	return p.resumeFn
 }
-
-// WakePending reports whether the proc already has a wake scheduled.
-func (p *Proc) WakePending() bool { return p.wakePending }
-
-// Parked reports whether the proc is currently blocked.
-func (p *Proc) Parked() bool { return p.state == procParked }
 
 // kill unwinds a parked proc's coroutine. Called only from Engine.Close,
 // which resets the lists wholesale afterwards.

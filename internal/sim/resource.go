@@ -7,9 +7,9 @@ import (
 )
 
 // Resource models a server with integer capacity and a FIFO wait queue:
-// links, DMA engines, switch ports. Acquire blocks the calling proc until
-// the requested units are available; Release returns them and wakes
-// waiters in order.
+// links, DMA engines, switch ports. AcquireFn takes the requested units
+// at once or queues the caller's continuation until they are available;
+// Release returns them and wakes waiters in order.
 //
 // Beyond admission control the resource keeps occupancy statistics —
 // peak units in use, total time acquirers spent queued, and the
@@ -19,7 +19,6 @@ import (
 type Resource struct {
 	eng      *Engine
 	label    fmt.Stringer // the name, formatted only when a text needs it
-	reason   string       // park reason for the blocking path, built on first park
 	capacity int
 	inUse    int
 	waiters  []resourceWaiter
@@ -36,18 +35,13 @@ type Resource struct {
 	queueMark units.Time // instant the queue length last changed
 }
 
-// resourceWaiter is one queued acquisition: a blocked proc, or — for
-// event-chain callers that cannot park — a continuation called once the
-// units are taken on its behalf. Exactly one of p and fn is set.
+// resourceWaiter is one queued acquisition: a continuation called once
+// the units are taken on its behalf.
 type resourceWaiter struct {
-	p  *Proc
-	fn func()
-	n  int
-	// queuedAt and wakePending replicate, for fn waiters, the state a
-	// proc waiter keeps on its own stack (wait-start instant) and in its
-	// Proc (pending-wake flag).
-	queuedAt    units.Time
-	wakePending bool
+	fn          func()
+	n           int
+	queuedAt    units.Time // when the acquisition queued
+	wakePending bool       // a re-check of the head is scheduled
 }
 
 // NewResource creates a resource with the given capacity (must be >= 1).
@@ -56,7 +50,7 @@ func NewResource(eng *Engine, name string, capacity int) *Resource {
 }
 
 // NewLabeledResource creates a resource named by label.String(), which
-// runs only when a panic text, a park reason or Stats needs the name: a
+// runs only when a panic text or Stats needs the name: a
 // caller creating many resources, most of them never reported, formats
 // none of them up front.
 func NewLabeledResource(eng *Engine, label fmt.Stringer, capacity int) *Resource {
@@ -85,57 +79,19 @@ func (r *Resource) noteQueue() {
 	r.queueMark = now
 }
 
-// Acquire obtains n units, blocking in FIFO order behind earlier waiters.
-func (r *Resource) Acquire(p *Proc, n int) {
-	if n < 1 || n > r.capacity {
-		panic(fmt.Sprintf("sim: resource %q acquire %d of %d", r.label.String(), n, r.capacity))
-	}
-	r.acquires++
-	// FIFO fairness: even if units are free, queue behind existing waiters.
-	if len(r.waiters) == 0 && r.inUse+n <= r.capacity {
-		r.take(n)
-		return
-	}
-	r.contended++
-	queuedAt := r.eng.Now()
-	r.noteQueue()
-	r.waiters = append(r.waiters, resourceWaiter{p: p, n: n})
-	if r.reason == "" {
-		r.reason = "resource " + r.label.String()
-	}
-	for {
-		p.Park(r.reason)
-		// The waiter stays queued until it can actually proceed; a wake
-		// that raced with another grab simply parks again and will be
-		// re-woken by the next Release.
-		if len(r.waiters) > 0 && r.waiters[0].p == p && r.inUse+n <= r.capacity {
-			r.noteQueue()
-			// Shift-down pop: a waiters[1:] window would exhaust the
-			// backing array and force an allocation on nearly every
-			// contended admission (see Mailbox.wakeOne).
-			copy(r.waiters, r.waiters[1:])
-			r.waiters[len(r.waiters)-1] = resourceWaiter{}
-			r.waiters = r.waiters[:len(r.waiters)-1]
-			r.waitTime += r.eng.Now() - queuedAt
-			r.take(n)
-			r.grantNext() // capacity may allow the next waiter too
-			return
-		}
-	}
-}
-
-// AcquireFn is Acquire for event-chain callers: it either takes the n
-// units inline and returns true, or queues the continuation in the same
-// FIFO as blocked procs and returns false — fn will be invoked (from an
+// AcquireFn obtains n units for an event-chain caller: it either takes
+// them inline and returns true, or queues the continuation in FIFO order
+// behind earlier waiters and returns false — fn will be invoked (from an
 // event, after the units have been taken on its behalf) once the grant
-// reaches it. Occupancy statistics and the wake/re-check event pattern
-// are identical to a proc waiter's, so a run that swaps one for the
-// other schedules the exact same calendar.
+// reaches it. A grant that frees the head schedules one wake at delay 0
+// that re-checks it, so every queued acquisition costs the calendar
+// exactly one event per wake.
 func (r *Resource) AcquireFn(n int, fn func()) bool {
 	if n < 1 || n > r.capacity {
 		panic(fmt.Sprintf("sim: resource %q acquire %d of %d", r.label.String(), n, r.capacity))
 	}
 	r.acquires++
+	// FIFO fairness: even if units are free, queue behind existing waiters.
 	if len(r.waiters) == 0 && r.inUse+n <= r.capacity {
 		r.take(n)
 		return true
@@ -146,20 +102,19 @@ func (r *Resource) AcquireFn(n int, fn func()) bool {
 	return false
 }
 
-// wakeHeadFn is the scheduled wake of a queued fn waiter: the analogue
-// of a woken proc re-running its Acquire loop body. If the head can now
-// proceed it is dequeued, charged and granted, and its continuation
+// wakeHeadFn is the scheduled wake of the queue head. If the head can
+// now proceed it is dequeued, charged and granted, and its continuation
 // runs; a wake that raced with another grab just clears the pending
 // flag and waits for the next Release.
 func (r *Resource) wakeHeadFn() {
-	if len(r.waiters) == 0 || r.waiters[0].fn == nil {
-		return
-	}
 	head := &r.waiters[0]
 	head.wakePending = false
 	if r.inUse+head.n <= r.capacity {
 		fn, n, queuedAt := head.fn, head.n, head.queuedAt
 		r.noteQueue()
+		// Shift-down pop: a waiters[1:] window would exhaust the backing
+		// array and force an allocation on nearly every contended
+		// admission.
 		copy(r.waiters, r.waiters[1:])
 		r.waiters[len(r.waiters)-1] = resourceWaiter{}
 		r.waiters = r.waiters[:len(r.waiters)-1]
@@ -169,6 +124,7 @@ func (r *Resource) wakeHeadFn() {
 		fn()
 	}
 }
+
 func (r *Resource) take(n int) {
 	if r.inUse == 0 {
 		r.busySince = r.eng.Now()
@@ -200,12 +156,6 @@ func (r *Resource) grantNext() {
 	if r.inUse+head.n > r.capacity {
 		return
 	}
-	if head.p != nil {
-		if !head.p.WakePending() && head.p.Parked() {
-			head.p.Wake()
-		}
-		return
-	}
 	if !head.wakePending {
 		head.wakePending = true
 		if r.fnWake == nil {
@@ -213,14 +163,6 @@ func (r *Resource) grantNext() {
 		}
 		r.eng.Schedule(0, r.fnWake)
 	}
-}
-
-// Use acquires one unit, holds it for d, then releases it: the common
-// pattern for occupying a link while a message is on the wire.
-func (r *Resource) Use(p *Proc, d units.Time) {
-	r.Acquire(p, 1)
-	p.Sleep(d)
-	r.Release(1)
 }
 
 // BusyTime returns the total time the resource spent with at least one

@@ -9,18 +9,14 @@ import (
 )
 
 // TestResourceOccupancyStats pins the occupancy accounting under crafted
-// contention: three procs contend for a capacity-1 resource, each holding
-// it for 10 ns. A acquires at t=0 uncontended; B and C queue at t=0 and
-// are granted at t=10ns and t=20ns.
+// contention: three chains contend for a capacity-1 resource, each
+// holding it for 10 ns. A acquires at t=0 uncontended; B and C queue at
+// t=0 and are granted at t=10ns and t=20ns.
 func TestResourceOccupancyStats(t *testing.T) {
 	e := NewEngine()
-	defer e.Close()
 	r := NewResource(e, "link", 1)
-	const hold = 10 * units.Nanosecond
-	for _, name := range []string{"A", "B", "C"} {
-		e.Spawn(name, func(p *Proc) {
-			r.Use(p, hold)
-		})
+	for range 3 {
+		hold(e, r, 10*units.Nanosecond, nil)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -59,13 +55,10 @@ func TestResourceOccupancyStats(t *testing.T) {
 // admissions accrue no wait.
 func TestResourceStatsCapacityTwo(t *testing.T) {
 	e := NewEngine()
-	defer e.Close()
 	r := NewResource(e, "dual", 2)
-	const hold = 10 * units.Nanosecond
+	const d = 10 * units.Nanosecond
 	for i := 0; i < 2; i++ {
-		e.Spawn("p", func(p *Proc) {
-			r.Use(p, hold)
-		})
+		hold(e, r, d, nil)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -77,8 +70,8 @@ func TestResourceStatsCapacityTwo(t *testing.T) {
 	if s.Contended != 0 || s.WaitTime != 0 || s.QueueArea != 0 {
 		t.Errorf("uncontended run accrued contention: %+v", s)
 	}
-	if s.BusyTime != hold {
-		t.Errorf("busy = %v, want %v", s.BusyTime, hold)
+	if s.BusyTime != d {
+		t.Errorf("busy = %v, want %v", s.BusyTime, d)
 	}
 }
 
@@ -86,15 +79,10 @@ func TestResourceStatsCapacityTwo(t *testing.T) {
 // holds and a late-arriving waiter.
 func TestResourceStatsStaggered(t *testing.T) {
 	e := NewEngine()
-	defer e.Close()
 	r := NewResource(e, "link", 1)
-	e.Spawn("first", func(p *Proc) {
-		r.Use(p, 20*units.Nanosecond)
-	})
+	hold(e, r, 20*units.Nanosecond, nil)
 	// Arrives at t=5ns, queues 15 ns, holds 20 ns (to t=40ns).
-	e.SpawnAt(5*units.Nanosecond, "second", func(p *Proc) {
-		r.Use(p, 20*units.Nanosecond)
-	})
+	e.Schedule(5*units.Nanosecond, func() { hold(e, r, 20*units.Nanosecond, nil) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -123,9 +111,9 @@ type countingLabel struct {
 func (l *countingLabel) String() string { l.calls++; return l.name }
 
 // TestLabeledResourceNamesLazily pins the labeled constructor: admission,
-// release and occupancy never format the label, while the Stats name,
-// the park reason a deadlock reports and the panic texts read exactly as
-// they do for a resource built with that name.
+// release and occupancy never format the label, while the Stats name
+// and the panic texts read exactly as they do for a resource built with
+// that name.
 func TestLabeledResourceNamesLazily(t *testing.T) {
 	lbl := &countingLabel{name: "CU1/xbar0->spine3"}
 	e := NewEngine()
@@ -140,31 +128,23 @@ func TestLabeledResourceNamesLazily(t *testing.T) {
 		t.Errorf("admission and occupancy formatted the label %d times", lbl.calls)
 	}
 
-	// texts returns the Stats name, the deadlock report of a proc left
-	// parked on the held resource and the panic of an over-release.
-	texts := func(mk func(*Engine) *Resource) (name, deadlock, panicText string) {
-		e := NewEngine()
-		defer e.Close()
-		r := mk(e)
+	// texts returns the Stats name and the panic of an over-release.
+	texts := func(mk func(*Engine) *Resource) (name, panicText string) {
+		r := mk(NewEngine())
 		r.AcquireFn(1, nil)
-		e.Spawn("waiter", func(p *Proc) { r.Acquire(p, 1) })
-		err := e.Run()
-		if err == nil {
-			t.Fatal("no deadlock with the resource held")
-		}
 		r.Release(1)
 		func() {
 			defer func() { panicText = fmt.Sprint(recover()) }()
 			r.Release(1)
 		}()
-		return r.Stats().Name, err.Error(), panicText
+		return r.Stats().Name, panicText
 	}
-	n1, d1, p1 := texts(func(e *Engine) *Resource { return NewResource(e, lbl.name, 1) })
-	n2, d2, p2 := texts(func(e *Engine) *Resource { return NewLabeledResource(e, lbl, 1) })
-	if n1 != n2 || d1 != d2 || p1 != p2 {
-		t.Errorf("labeled texts differ:\n  name %q vs %q\n  deadlock %q vs %q\n  panic %q vs %q", n1, n2, d1, d2, p1, p2)
+	n1, p1 := texts(func(e *Engine) *Resource { return NewResource(e, lbl.name, 1) })
+	n2, p2 := texts(func(e *Engine) *Resource { return NewLabeledResource(e, lbl, 1) })
+	if n1 != n2 || p1 != p2 {
+		t.Errorf("labeled texts differ:\n  name %q vs %q\n  panic %q vs %q", n1, n2, p1, p2)
 	}
-	if n1 != lbl.name || !strings.Contains(d1, "waiter (resource "+lbl.name+")") || !strings.Contains(p1, `"`+lbl.name+`"`) {
-		t.Errorf("texts do not carry the name: %q, %q, %q", n1, d1, p1)
+	if n1 != lbl.name || !strings.Contains(p1, `"`+lbl.name+`"`) {
+		t.Errorf("texts do not carry the name: %q, %q", n1, p1)
 	}
 }

@@ -192,96 +192,28 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestMailboxFIFO(t *testing.T) {
-	e := NewEngine()
-	defer e.Close()
-	mb := NewMailbox[int](e, "test")
-	var got []int
-	e.Spawn("producer", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			p.Sleep(units.Nanosecond)
-			mb.Put(i)
-		}
-	})
-	e.Spawn("consumer", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			got = append(got, mb.Get(p))
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
+// hold takes one unit of r for d as an event chain, then releases it and
+// calls done, if any.
+func hold(e *Engine, r *Resource, d units.Time, done func()) {
+	held := func() {
+		e.Schedule(d, func() {
+			r.Release(1)
+			if done != nil {
+				done()
+			}
+		})
 	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("got = %v", got)
-		}
-	}
-}
-
-func TestMailboxBlocksUntilPut(t *testing.T) {
-	e := NewEngine()
-	defer e.Close()
-	mb := NewMailbox[string](e, "test")
-	var when units.Time
-	e.Spawn("consumer", func(p *Proc) {
-		mb.Get(p)
-		when = p.Now()
-	})
-	e.Spawn("producer", func(p *Proc) {
-		p.Sleep(42 * units.Nanosecond)
-		mb.Put("x")
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if when != 42*units.Nanosecond {
-		t.Errorf("received at %v, want 42ns", when)
-	}
-}
-
-func TestMailboxGetMatch(t *testing.T) {
-	e := NewEngine()
-	defer e.Close()
-	mb := NewMailbox[int](e, "test")
-	var got []int
-	e.Spawn("c", func(p *Proc) {
-		// Want only even numbers, in arrival order.
-		for i := 0; i < 3; i++ {
-			got = append(got, mb.GetMatch(p, func(v int) bool { return v%2 == 0 }))
-		}
-	})
-	e.Spawn("p", func(p *Proc) {
-		for _, v := range []int{1, 2, 3, 4, 5, 6} {
-			p.Sleep(units.Nanosecond)
-			mb.Put(v)
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[0] != 2 || got[1] != 4 || got[2] != 6 {
-		t.Errorf("got = %v", got)
-	}
-	// The odd ones remain queued in order.
-	if mb.Len() != 3 {
-		t.Errorf("remaining = %d", mb.Len())
-	}
-	v, ok := mb.TryGet()
-	if !ok || v != 1 {
-		t.Errorf("TryGet = %v, %v", v, ok)
+	if r.AcquireFn(1, held) {
+		held()
 	}
 }
 
 func TestResourceSerialises(t *testing.T) {
 	e := NewEngine()
-	defer e.Close()
 	res := NewResource(e, "link", 1)
 	var done []units.Time
 	for i := 0; i < 3; i++ {
-		e.Spawn("user", func(p *Proc) {
-			res.Use(p, 10*units.Nanosecond)
-			done = append(done, p.Now())
-		})
+		hold(e, res, 10*units.Nanosecond, func() { done = append(done, e.Now()) })
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -299,14 +231,10 @@ func TestResourceSerialises(t *testing.T) {
 
 func TestResourceCapacityTwo(t *testing.T) {
 	e := NewEngine()
-	defer e.Close()
 	res := NewResource(e, "dual", 2)
 	var done []units.Time
 	for i := 0; i < 4; i++ {
-		e.Spawn("user", func(p *Proc) {
-			res.Use(p, 10*units.Nanosecond)
-			done = append(done, p.Now())
-		})
+		hold(e, res, 10*units.Nanosecond, func() { done = append(done, e.Now()) })
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -322,16 +250,17 @@ func TestResourceCapacityTwo(t *testing.T) {
 
 func TestResourceFIFOOrder(t *testing.T) {
 	e := NewEngine()
-	defer e.Close()
 	res := NewResource(e, "link", 1)
 	var order []int
 	for i := 0; i < 5; i++ {
-		i := i
-		e.SpawnAt(units.Time(i)*units.Nanosecond, "user", func(p *Proc) {
-			res.Acquire(p, 1)
-			order = append(order, i)
-			p.Sleep(100 * units.Nanosecond)
-			res.Release(1)
+		e.Schedule(units.Time(i)*units.Nanosecond, func() {
+			granted := func() {
+				order = append(order, i)
+				e.Schedule(100*units.Nanosecond, func() { res.Release(1) })
+			}
+			if res.AcquireFn(1, granted) {
+				granted()
+			}
 		})
 	}
 	if err := e.Run(); err != nil {
@@ -347,25 +276,16 @@ func TestResourceFIFOOrder(t *testing.T) {
 func TestDeterminismAcrossRuns(t *testing.T) {
 	run := func() []units.Time {
 		e := NewEngine()
-		defer e.Close()
 		res := NewResource(e, "r", 1)
-		mb := NewMailbox[int](e, "m")
 		var times []units.Time
 		for i := 0; i < 8; i++ {
-			i := i
-			e.Spawn("p", func(p *Proc) {
-				p.Sleep(units.Time(i%3) * units.Nanosecond)
-				res.Use(p, 5*units.Nanosecond)
-				mb.Put(i)
-				times = append(times, p.Now())
+			e.Schedule(units.Time(i%3)*units.Nanosecond, func() {
+				hold(e, res, 5*units.Nanosecond, func() {
+					times = append(times, e.Now())
+					e.Schedule(units.Time(i)*units.Nanosecond, func() { times = append(times, e.Now()) })
+				})
 			})
 		}
-		e.Spawn("drain", func(p *Proc) {
-			for i := 0; i < 8; i++ {
-				mb.Get(p)
-				times = append(times, p.Now())
-			}
-		})
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}

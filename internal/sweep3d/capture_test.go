@@ -2,9 +2,12 @@ package sweep3d
 
 import (
 	"bytes"
+	"errors"
+	"slices"
 	"testing"
 
 	"roadrunner/internal/cml"
+	"roadrunner/internal/sim"
 	"roadrunner/internal/trace"
 )
 
@@ -102,5 +105,34 @@ func TestCaptureDESRejectsBadConfig(t *testing.T) {
 		if _, err := RunOnDES(captureCfg, grid[0], grid[1], cml.CurrentSoftware()); err == nil {
 			t.Errorf("RunOnDES accepted %dx%d rank grid", grid[0], grid[1])
 		}
+	}
+}
+
+func TestDESDeadlockNamesBlockedRecvs(t *testing.T) {
+	// Losing the first boundary message leaves its receiver, and in time
+	// every rank upstream of it, waiting in a recv: the run reports each
+	// as a *sim.DeadlockError entry instead of returning a result.
+	d, err := newDESRun(captureCfg, 2, 1, cml.CurrentSoftware(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deliver, dropped := d.deliverFn, false
+	d.deliverFn = func(m *cml.Message) {
+		if !dropped {
+			dropped = true
+			return
+		}
+		deliver(m)
+	}
+	_, err = d.run()
+	var de *sim.DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("err = %v, want a *sim.DeadlockError", err)
+	}
+	// Rank 1 waits for the lost x boundary of octant 0, block 0; rank 0
+	// for rank 1's first boundary of the first octant sweeping in -x.
+	want := []string{"rank0 (recv from 1 tag 8192)", "rank1 (recv from 0 tag 0)"}
+	if !slices.Equal(de.Procs, want) {
+		t.Errorf("blocked ranks %q, want %q", de.Procs, want)
 	}
 }

@@ -2,6 +2,7 @@ package sweep3d
 
 import (
 	"fmt"
+	"slices"
 
 	"roadrunner/internal/cml"
 	"roadrunner/internal/fabric"
@@ -66,6 +67,71 @@ func CaptureDES(cfg Config, px, py int, cmlCfg cml.Config) (*DESResult, *trace.T
 }
 
 func runOnDES(cfg Config, px, py int, cmlCfg cml.Config, rec *trace.Recorder) (*DESResult, error) {
+	d, err := newDESRun(cfg, px, py, cmlCfg, rec)
+	if err != nil {
+		return nil, err
+	}
+	return d.run()
+}
+
+// desRun is one DES execution: the engine, the CML world, and one
+// event-driven walker per SPE rank.
+type desRun struct {
+	eng       *sim.Engine
+	cfg       Config
+	prob      Problem
+	px, py    int
+	ranks     []walker
+	states    []*LocalState
+	rec       *trace.Recorder
+	octs      [Octants]Dir
+	blockTime units.Time // calibrated SPE compute time of one block step
+	done      int        // ranks whose sweep ended
+	finish    units.Time // the last rank's end
+	deliverFn func(*cml.Message)
+}
+
+// walker steps one rank through its KBA program as an event-driven state
+// machine. Per octant and K block a step does what one resume of a
+// blocking rank process did: receive x and y from upstream, sweep the
+// block, wait out its compute time, then send x and y downstream (or
+// tally them as leakage at the domain edge). A walk stops at a recv with
+// no match (the next delivery to the rank steps it at delay 0, whether
+// or not it matches), at the compute delay, and while a send's chain
+// runs (its end continues the walk in the same event), so the walker
+// takes exactly the calendar slots the process took.
+type walker struct {
+	d       *desRun
+	id      int
+	rank    *cml.Rank
+	s       *LocalState
+	oi, kb  int
+	up, dn  [2]int // x and y neighbours in this octant; -1 at the domain edge
+	pc      uint8
+	in, out [2][]float64   // the block's x and y boundaries
+	queue   []*cml.Message // delivered, not yet received; arrival order
+	waiting bool           // blocked in the recv at pc
+	runFn   func()
+}
+
+// Walker program counter: where the walk resumes within a block step.
+// Each x stage is followed by its y stage.
+const (
+	pcRecvX = iota // receive the x boundary from upstream
+	pcRecvY
+	pcSweep // sweep the block and wait out its compute time
+	pcSendX // compute done: send x downstream
+	pcSentX // x delivered
+	pcSendY
+	pcSentY
+	pcNext // on to the next block
+	pcDone // the sweep has ended
+)
+
+// faces names the boundary dimensions for leakage accounting.
+var faces = [2]string{"x", "y"}
+
+func newDESRun(cfg Config, px, py int, cmlCfg cml.Config, rec *trace.Recorder) (*desRun, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -74,7 +140,6 @@ func runOnDES(cfg Config, px, py int, cmlCfg cml.Config, rec *trace.Recorder) (*
 	}
 	nRanks := px * py
 	eng := sim.NewEngine()
-	defer eng.Close()
 	fab := fabric.New()
 	world := cml.NewWorld(eng, fab, cmlCfg)
 	nodes := (nRanks + cml.RanksPerNode - 1) / cml.RanksPerNode
@@ -84,88 +149,166 @@ func runOnDES(cfg Config, px, py int, cmlCfg cml.Config, rec *trace.Recorder) (*
 	for n := 0; n < nodes; n++ {
 		world.AddNodeRanks(fabric.FromGlobal(n))
 	}
-
-	prob := Problem{NX: cfg.I * px, NY: cfg.J * py, NZ: cfg.K,
-		Angles: cfg.Angles, SigT: 0.75, Q: 1.0}
-	states := make([]*LocalState, nRanks)
-	octs := OctantOrder()
-
-	// Tags encode (octant, block, dimension).
-	tag := func(oi, kb int, dim string) int {
-		d := 0
-		if dim == "y" {
-			d = 1
-		}
-		return (oi*4096+kb)*2 + d
+	d := &desRun{
+		eng:  eng,
+		cfg:  cfg,
+		prob: Problem{NX: cfg.I * px, NY: cfg.J * py, NZ: cfg.K, Angles: cfg.Angles, SigT: 0.75, Q: 1.0},
+		px:   px, py: py,
+		ranks:  make([]walker, nRanks),
+		states: make([]*LocalState, nRanks),
+		rec:    rec,
+		octs:   OctantOrder(),
+		// The calibrated SPE compute cost makes the DES time comparable
+		// with the analytic model.
+		blockTime: units.Time(cfg.BlockUpdates()) * speScalePerUpdate(cfg),
 	}
-
-	var finish units.Time
-	// perUpdate carries the calibrated SPE compute cost so the DES time
-	// is comparable with the analytic model.
-	perUpdate := speScalePerUpdate(cfg)
-	for pyi := 0; pyi < py; pyi++ {
-		for pxi := 0; pxi < px; pxi++ {
-			s := NewLocalState(cfg, prob, px, py, pxi, pyi)
-			states[pyi*px+pxi] = s
-			rankID := pyi*px + pxi
-			rank := world.Rank(rankID)
-			eng.Spawn(fmt.Sprintf("sweep-rank%d", rankID), func(p *sim.Proc) {
-				for oi, oct := range octs {
-					s.StartOctant()
-					for kb := 0; kb < cfg.KBlocks(); kb++ {
-						var xin, yin []float64
-						if up := upstreamRank(s.PXi, oct.SI); up >= 0 && up < px {
-							src := s.PYi*px + up
-							xin = rank.Recv(p, src, tag(oi, kb, "x")).Data
-							if rec != nil {
-								rec.Recv(rankID, src, tag(oi, kb, "x"), units.Size(8*len(xin)), p.Now())
-							}
-						}
-						if up := upstreamRank(s.PYi, oct.SJ); up >= 0 && up < py {
-							src := up*px + s.PXi
-							yin = rank.Recv(p, src, tag(oi, kb, "y")).Data
-							if rec != nil {
-								rec.Recv(rankID, src, tag(oi, kb, "y"), units.Size(8*len(yin)), p.Now())
-							}
-						}
-						xout, yout := s.BlockSweep(oct, kb, xin, yin)
-						p.Sleep(units.Time(cfg.BlockUpdates()) * perUpdate)
-						if rec != nil {
-							rec.Compute(rankID, units.Time(cfg.BlockUpdates())*perUpdate, p.Now())
-						}
-						if dn := downstreamRank(s.PXi, oct.SI); dn >= 0 && dn < px {
-							dst := s.PYi*px + dn
-							rank.Send(p, dst, tag(oi, kb, "x"), xout)
-							if rec != nil {
-								rec.Send(rankID, dst, tag(oi, kb, "x"), units.Size(8*len(xout)), p.Now())
-							}
-						} else {
-							s.AccumulateEdgeLeakage("x", xout)
-						}
-						if dn := downstreamRank(s.PYi, oct.SJ); dn >= 0 && dn < py {
-							dst := dn*px + s.PXi
-							rank.Send(p, dst, tag(oi, kb, "y"), yout)
-							if rec != nil {
-								rec.Send(rankID, dst, tag(oi, kb, "y"), units.Size(8*len(yout)), p.Now())
-							}
-						} else {
-							s.AccumulateEdgeLeakage("y", yout)
-						}
-					}
-					s.FinishOctant()
-				}
-				if p.Now() > finish {
-					finish = p.Now()
-				}
-			})
-		}
+	d.deliverFn = d.deliver
+	// Every rank's first step runs at delay 0, in rank order.
+	for id := range d.ranks {
+		w := &d.ranks[id]
+		w.d, w.id, w.rank = d, id, world.Rank(id)
+		w.s = NewLocalState(cfg, d.prob, px, py, id%px, id/px)
+		d.states[id] = w.s
+		w.runFn = w.run
+		w.octant(0)
+		eng.Schedule(0, w.runFn)
 	}
-	if err := eng.Run(); err != nil {
+	return d, nil
+}
+
+// run executes the sweep and merges the ranks' results. A calendar that
+// empties with ranks unfinished is a *sim.DeadlockError naming each rank
+// left in a recv.
+func (d *desRun) run() (*DESResult, error) {
+	err := d.eng.Run()
+	if err == nil && d.done < len(d.ranks) {
+		e := &sim.DeadlockError{Time: d.eng.Now()}
+		for i := range d.ranks {
+			if w := &d.ranks[i]; w.waiting {
+				dim := int(w.pc - pcRecvX)
+				e.Procs = append(e.Procs, fmt.Sprintf("rank%d (recv from %d tag %d)", w.id, w.up[dim], tag(w.oi, w.kb, dim)))
+			}
+		}
+		err = e
+	}
+	if err != nil {
 		return nil, fmt.Errorf("sweep3d: DES run: %w", err)
 	}
 	return &DESResult{
-		Result:        MergeResults(cfg, prob, px, py, states),
-		IterationTime: finish,
-		EngineStats:   eng.Stats(),
+		Result:        MergeResults(d.cfg, d.prob, d.px, d.py, d.states),
+		IterationTime: d.finish,
+		EngineStats:   d.eng.Stats(),
 	}, nil
+}
+
+// deliver queues a message at its rank. A rank blocked in a recv steps
+// at once to re-match, whether or not the message is the one it waits
+// for.
+func (d *desRun) deliver(m *cml.Message) {
+	w := &d.ranks[m.Dst]
+	w.queue = append(w.queue, m)
+	if w.waiting {
+		w.waiting = false
+		d.eng.Schedule(0, w.runFn)
+	}
+}
+
+// tag encodes (octant, block, dimension) as a message tag.
+func tag(oi, kb, dim int) int { return (oi*4096+kb)*2 + dim }
+
+// octant enters octant oi: the z-face state restarts, and the x and y
+// neighbours become the octant's upstream and downstream ranks.
+func (w *walker) octant(oi int) {
+	d, oct := w.d, w.d.octs[oi]
+	at := func(x, y int) int {
+		if x < 0 || x >= d.px || y < 0 || y >= d.py {
+			return -1
+		}
+		return y*d.px + x
+	}
+	i, j := w.s.PXi, w.s.PYi
+	w.oi = oi
+	w.up = [2]int{at(upstreamRank(i, oct.SI), j), at(i, upstreamRank(j, oct.SJ))}
+	w.dn = [2]int{at(downstreamRank(i, oct.SI), j), at(i, downstreamRank(j, oct.SJ))}
+	w.s.StartOctant()
+}
+
+// take receives dimension dim's boundary into in[dim]: nothing at the
+// domain edge, else the first queued message from upstream with the
+// block's tag, in arrival order. With no match the walker waits in the
+// recv and take reports false.
+func (w *walker) take(dim int) bool {
+	src := w.up[dim]
+	if src < 0 {
+		return true
+	}
+	tg := tag(w.oi, w.kb, dim)
+	for i, m := range w.queue {
+		if m.Src == src && m.Tag == tg {
+			w.queue = slices.Delete(w.queue, i, i+1)
+			w.in[dim] = m.Data
+			if rec := w.d.rec; rec != nil {
+				rec.Recv(w.id, src, tg, m.Size, w.d.eng.Now())
+			}
+			return true
+		}
+	}
+	w.waiting = true
+	return false
+}
+
+// run walks the rank's program from pc until it must wait: for a
+// message, the compute delay or a send's chain. It is the rank's
+// calendar event and the continuation its send chains end with.
+func (w *walker) run() {
+	d := w.d
+	for {
+		switch w.pc {
+		case pcRecvX, pcRecvY:
+			if !w.take(int(w.pc - pcRecvX)) {
+				return
+			}
+			w.pc++
+		case pcSweep:
+			w.out[0], w.out[1] = w.s.BlockSweep(d.octs[w.oi], w.kb, w.in[0], w.in[1])
+			w.in = [2][]float64{}
+			w.pc = pcSendX
+			d.eng.Schedule(d.blockTime, w.runFn)
+			return
+		case pcSendX, pcSendY:
+			dim := int(w.pc-pcSendX) / 2
+			if dim == 0 && d.rec != nil {
+				d.rec.Compute(w.id, d.blockTime, d.eng.Now())
+			}
+			if dst := w.dn[dim]; dst >= 0 {
+				w.pc++ // to the sent stage
+				w.rank.StartSend(dst, tag(w.oi, w.kb, dim), w.out[dim], d.deliverFn, w.runFn)
+				return
+			}
+			w.s.AccumulateEdgeLeakage(faces[dim], w.out[dim])
+			w.pc += 2 // past the sent stage
+		case pcSentX, pcSentY:
+			dim := int(w.pc-pcSentX) / 2
+			if d.rec != nil {
+				d.rec.Send(w.id, w.dn[dim], tag(w.oi, w.kb, dim), units.Size(8*len(w.out[dim])), d.eng.Now())
+			}
+			w.pc++
+		case pcNext:
+			w.pc = pcRecvX
+			if w.kb++; w.kb < d.cfg.KBlocks() {
+				break
+			}
+			w.s.FinishOctant()
+			w.kb = 0
+			if w.oi+1 < Octants {
+				w.octant(w.oi + 1)
+				break
+			}
+			w.pc = pcDone
+		case pcDone:
+			d.finish = max(d.finish, d.eng.Now())
+			d.done++
+			return
+		}
+	}
 }

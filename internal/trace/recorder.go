@@ -9,8 +9,8 @@ import (
 
 // Recorder accumulates per-rank record streams during a capture run.
 // Capture hooks (e.g. sweep3d.CaptureDES) call Compute/Send/Recv from
-// inside the application's DES procs — the engine interleaves procs one
-// at a time, so no locking is needed — and Trace() assembles the
+// the application's DES events — the engine runs one event at a time, so
+// no locking is needed — and Trace() assembles the
 // canonical trace: sequence numbers from per-rank program order, recv
 // dependencies from FIFO matching on each (src, dst, tag) channel, and a
 // full Validate before anything is returned.

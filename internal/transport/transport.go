@@ -202,7 +202,7 @@ func (n *Net) HCA(node fabric.NodeID) *ib.HCA {
 	g := node.GlobalID()
 	h := n.hcas[g]
 	if h == nil {
-		h = ib.NewHCA(n.eng, n.prof)
+		h = ib.NewHCA(n.prof)
 		n.hcas[g] = h
 	}
 	return h

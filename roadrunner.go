@@ -120,7 +120,7 @@ func RunExperiments(ctx context.Context, ids []string, opts SuiteOptions) ([]*Su
 }
 
 // FailedResults filters a suite run down to the experiments that errored
-// or whose paper-vs-measured checks failed.
+// or whose paper-vs-measured or host checks failed.
 func FailedResults(results []*SuiteResult) []*SuiteResult {
 	return orchestrator.Failed(results)
 }
@@ -324,9 +324,10 @@ func CaptureSweepTrace(cfg SweepConfig, px, py int) (*Trace, error) {
 	return t, err
 }
 
-// ReplayTrace replays a captured trace over the transport: one DES proc
-// per rank walks its stream in order under the configured placement and
-// congestion policy, driving every send through the routed message path.
+// ReplayTrace replays a captured trace over the transport: one
+// event-driven walker per rank steps through its stream in order under
+// the configured placement and congestion policy, driving every send
+// through the routed message path.
 func ReplayTrace(t *Trace, cfg TraceReplayConfig) (*TraceReplayResult, error) {
 	return trace.Replay(t, cfg)
 }
