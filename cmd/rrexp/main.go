@@ -14,12 +14,16 @@
 //	rrexp -run all -parallel -cache [-csv out/] [-jsonl results.jsonl]
 //	rrexp -run all -workers 4 -timeout 30s -quiet
 //
-// Exit status: 0 all experiments passed their paper-vs-measured checks,
-// 1 some failed or errored, 2 usage or I/O error.
+// Host checks — wall-clock floors measured on this machine, never cached
+// — print on stderr after the experiment's output.
+//
+// Exit status: 0 all experiments passed their paper-vs-measured and host
+// checks, 1 some failed or errored, 2 usage or I/O error.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -38,26 +42,35 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	list := flag.Bool("list", false, "list experiments (sorted by ID) and exit")
-	runIDs := flag.String("run", "all", "comma-separated experiment IDs to run, or 'all'")
-	filter := flag.String("filter", "", "regular expression selecting experiment IDs (applies to -run and -list)")
-	parallel := flag.Bool("parallel", false, "run the suite on a GOMAXPROCS-sized worker pool")
-	workers := flag.Int("workers", 0, "explicit worker-pool size (overrides -parallel; 0 = serial unless -parallel)")
-	cache := flag.Bool("cache", false, "reuse/store artifacts in the content-addressed cache")
-	cacheDir := flag.String("cache-dir", defaultCacheDir(), "artifact cache location")
-	timeout := flag.Duration("timeout", 0, "per-experiment timeout (0 = none)")
-	jsonl := flag.String("jsonl", "", "stream one JSON line per result to this file ('-' = stdout)")
-	csvDir := flag.String("csv", "", "directory to write CSV artifacts into")
-	quiet := flag.Bool("quiet", false, "print only the per-experiment summaries")
-	topology := flag.String("topology", "",
+// run is the whole command: it parses args, writes to stdout and stderr,
+// and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("rrexp", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	list := fs.Bool("list", false, "list experiments (sorted by ID) and exit")
+	runIDs := fs.String("run", "all", "comma-separated experiment IDs to run, or 'all'")
+	filter := fs.String("filter", "", "regular expression selecting experiment IDs (applies to -run and -list)")
+	parallel := fs.Bool("parallel", false, "run the suite on a GOMAXPROCS-sized worker pool")
+	workers := fs.Int("workers", 0, "explicit worker-pool size (overrides -parallel; 0 = serial unless -parallel)")
+	cache := fs.Bool("cache", false, "reuse/store artifacts in the content-addressed cache")
+	cacheDir := fs.String("cache-dir", defaultCacheDir(), "artifact cache location")
+	timeout := fs.Duration("timeout", 0, "per-experiment timeout (0 = none)")
+	jsonl := fs.String("jsonl", "", "stream one JSON line per result to this file ('-' = stdout)")
+	csvDir := fs.String("csv", "", "directory to write CSV artifacts into")
+	quiet := fs.Bool("quiet", false, "print only the per-experiment summaries")
+	topology := fs.String("topology", "",
 		"fabric topology the scenario sweeps run on (see rrsim -topology); non-default runs are what-if sweeps, so paper-vs-measured checks may fail by design")
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if err := scenario.SetTopology(*topology); err != nil {
-		fmt.Fprintf(os.Stderr, "rrexp: %v\n", err)
+		fmt.Fprintf(stderr, "rrexp: %v\n", err)
 		return 2
 	}
 
@@ -65,7 +78,7 @@ func run() int {
 	if *filter != "" {
 		re, err := regexp.Compile(*filter)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad -filter: %v\n", err)
+			fmt.Fprintf(stderr, "bad -filter: %v\n", err)
 			return 2
 		}
 		matches = re.MatchString
@@ -82,8 +95,8 @@ func run() int {
 			if matches != nil && !matches(e.ID) {
 				continue
 			}
-			fmt.Printf("%-22s %-45s %s\n", e.ID, e.Title, e.PaperRef)
-			fmt.Printf("%22s   %s\n", "", e.Description)
+			fmt.Fprintf(stdout, "%-22s %-45s %s\n", e.ID, e.Title, e.PaperRef)
+			fmt.Fprintf(stdout, "%22s   %s\n", "", e.Description)
 		}
 		return 0
 	}
@@ -107,7 +120,7 @@ func run() int {
 		}
 		ids = kept
 		if len(ids) == 0 {
-			fmt.Fprintf(os.Stderr, "no experiments match -filter %q\n", *filter)
+			fmt.Fprintf(stderr, "no experiments match -filter %q\n", *filter)
 			return 2
 		}
 	}
@@ -132,7 +145,7 @@ func run() int {
 		}
 		c, err := roadrunner.OpenArtifactCache(dir)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 2
 		}
 		opts.Cache = c
@@ -140,15 +153,15 @@ func run() int {
 
 	// Human-readable per-experiment output; moved to stderr when the
 	// JSONL stream owns stdout so `-jsonl - | jq .` stays parseable.
-	human := os.Stdout
-	var jsonlW *os.File
+	human := stdout
+	var jsonlW io.Writer
 	if *jsonl == "-" {
-		jsonlW = os.Stdout
-		human = os.Stderr
+		jsonlW = stdout
+		human = stderr
 	} else if *jsonl != "" {
 		f, err := os.Create(*jsonl)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 2
 		}
 		defer f.Close()
@@ -156,11 +169,7 @@ func run() int {
 	}
 	var streamer *roadrunner.SuiteStreamer
 	if jsonlW != nil || *csvDir != "" {
-		var w io.Writer
-		if jsonlW != nil {
-			w = jsonlW
-		}
-		streamer = roadrunner.NewSuiteStreamer(w, *csvDir)
+		streamer = roadrunner.NewSuiteStreamer(jsonlW, *csvDir)
 		opts.OnResult = streamer.OnResult
 	}
 
@@ -172,15 +181,18 @@ func run() int {
 	start := time.Now()
 	results, err := roadrunner.RunExperiments(ctx, ids, opts)
 	if err != nil && results == nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 
-	failures := 0
+	// Host checks (wall-clock floors) go to stderr with the other
+	// measurements of this machine, so stdout stays a pure function of
+	// the calibrated inputs.
+	failures, hostFailures := 0, 0
 	for _, r := range results {
 		switch {
 		case r.Err != nil:
-			fmt.Fprintf(os.Stderr, "[ERR ] %-22s %v\n", r.ID, r.Err)
+			fmt.Fprintf(stderr, "[ERR ] %-22s %v\n", r.ID, r.Err)
 			failures++
 		case *quiet:
 			status := "PASS"
@@ -196,34 +208,43 @@ func run() int {
 				status, r.ID, r.Title, len(r.Artifact.Checks.Items),
 				r.Elapsed.Round(time.Millisecond), tag)
 		default:
-			fmt.Fprintln(human, r.Artifact)
+			fmt.Fprintln(human, r.Artifact.Body())
 			if !r.Artifact.Checks.AllOK() {
 				failures++
 			}
 		}
+		if r.Err == nil && len(r.Artifact.Host.Items) > 0 {
+			fmt.Fprintf(stderr, "%s %s", r.ID, r.Artifact.HostSection())
+			hostFailures += len(r.Artifact.Host.Failures())
+		}
 		if r.CacheErr != nil {
-			fmt.Fprintf(os.Stderr, "[warn] %-22s %v\n", r.ID, r.CacheErr)
+			fmt.Fprintf(stderr, "[warn] %-22s %v\n", r.ID, r.CacheErr)
 		}
 	}
 	if streamer != nil {
 		if err := streamer.Err(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 2
 		}
 	}
 	if opts.Cache != nil {
 		hits, misses := opts.Cache.Stats()
-		fmt.Fprintf(os.Stderr, "cache: %d hit(s), %d miss(es) under %s\n",
+		fmt.Fprintf(stderr, "cache: %d hit(s), %d miss(es) under %s\n",
 			hits, misses, opts.Cache.Dir())
 	}
-	fmt.Fprintf(os.Stderr, "%d experiment(s) in %v with %d worker(s)\n",
+	fmt.Fprintf(stderr, "%d experiment(s) in %v with %d worker(s)\n",
 		len(results), time.Since(start).Round(time.Millisecond), opts.Workers)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "suite cancelled:", err)
+		fmt.Fprintln(stderr, "suite cancelled:", err)
 		return 1
 	}
 	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "%d experiment(s) failed\n", failures)
+		fmt.Fprintf(stderr, "%d experiment(s) failed\n", failures)
+	}
+	if hostFailures > 0 {
+		fmt.Fprintf(stderr, "%d host check(s) failed\n", hostFailures)
+	}
+	if failures > 0 || hostFailures > 0 {
 		return 1
 	}
 	return 0

@@ -93,7 +93,6 @@ type World struct {
 	cfg   Config
 	ranks []*Rank
 	pairs map[cellKey]*dacs.Pair
-	buses map[cellKey]*eib.Bus
 	mfcs  map[cellKey][]*eib.MFC
 	hcas  map[fabric.NodeID]*ib.HCA
 	free  *send // recycled message chains
@@ -106,7 +105,6 @@ func NewWorld(eng *sim.Engine, fab *fabric.System, cfg Config) *World {
 		fab:   fab,
 		cfg:   cfg,
 		pairs: make(map[cellKey]*dacs.Pair),
-		buses: make(map[cellKey]*eib.Bus),
 		mfcs:  make(map[cellKey][]*eib.MFC),
 		hcas:  make(map[fabric.NodeID]*ib.HCA),
 	}
@@ -124,7 +122,6 @@ func (w *World) AddRank(a Addr) *Rank {
 		name := fmt.Sprintf("dacs-%v-c%d", a.Node, a.Cell)
 		w.pairs[ck] = dacs.NewPair(w.eng, name, w.cfg.DaCS)
 		bus := eib.NewBus(w.eng, fmt.Sprintf("eib-%v-c%d", a.Node, a.Cell))
-		w.buses[ck] = bus
 		mfcs := make([]*eib.MFC, SPEsPerCell)
 		for i := range mfcs {
 			mfcs[i] = eib.NewMFC(bus, i)
@@ -148,9 +145,6 @@ func (w *World) AddNodeRanks(node fabric.NodeID) []*Rank {
 	}
 	return out
 }
-
-// Size returns the rank count.
-func (w *World) Size() int { return len(w.ranks) }
 
 // Rank returns rank i.
 func (w *World) Rank(i int) *Rank { return w.ranks[i] }

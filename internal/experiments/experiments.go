@@ -20,10 +20,18 @@ type Artifact struct {
 	Tables   []*report.Table
 	Figures  []*report.Figure
 	Checks   report.Checks
+	// Host holds checks on the machine the artifact was computed on —
+	// wall-clock speed floors — rather than on the calibrated model. Two
+	// runs of the same inputs may disagree on them, so the artifact
+	// cache never stores them, byte comparisons of artifacts read Body,
+	// which leaves them out, and the result stream's check counts
+	// exclude them.
+	Host report.Checks `json:"-"`
 }
 
-// String renders the artifact for terminal output.
-func (a *Artifact) String() string {
+// Body renders the artifact's deterministic content — tables, figures
+// and checks — a pure function of the calibrated inputs.
+func (a *Artifact) Body() string {
 	s := fmt.Sprintf("### %s — %s (%s)\n\n", a.ID, a.Title, a.PaperRef)
 	for _, t := range a.Tables {
 		s += t.String() + "\n"
@@ -33,6 +41,21 @@ func (a *Artifact) String() string {
 	}
 	s += a.Checks.String()
 	return s
+}
+
+// HostSection renders the host checks under a heading, or nothing when
+// the artifact has none.
+func (a *Artifact) HostSection() string {
+	if len(a.Host.Items) == 0 {
+		return ""
+	}
+	return "host checks (wall clock, not cached):\n" + a.Host.String()
+}
+
+// String renders the artifact for terminal output: the body, then the
+// host section.
+func (a *Artifact) String() string {
+	return a.Body() + a.HostSection()
 }
 
 // Experiment is a registered, runnable reproduction of one artifact.

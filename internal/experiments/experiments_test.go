@@ -54,6 +54,9 @@ func TestAllExperimentsPass(t *testing.T) {
 			for _, f := range a.Checks.Failures() {
 				t.Errorf("%s: %s", e.ID, f.String())
 			}
+			for _, f := range a.Host.Failures() {
+				t.Errorf("%s: host: %s", e.ID, f.String())
+			}
 			if len(a.Tables) == 0 && len(a.Figures) == 0 {
 				t.Errorf("%s: no output artifact", e.ID)
 			}

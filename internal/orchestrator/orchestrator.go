@@ -7,10 +7,13 @@
 // The paper's evaluation is a set of independent tables and figures, so
 // the suite is embarrassingly parallel; every experiment builds its own
 // models and engine, shares no mutable state, and produces an artifact
-// that is a pure function of the calibrated inputs in internal/params.
-// That purity is what makes both the parallelism and the cache sound: a
-// parallel run is byte-identical to a serial run, and a cache hit is
-// byte-identical to a recompute.
+// whose body (tables, figures, checks) is a pure function of the
+// calibrated inputs in internal/params. That purity is what makes both
+// the parallelism and the cache sound: a parallel run's bodies are
+// byte-identical to a serial run's, and a cache hit's body is
+// byte-identical to a recompute's. An artifact's host checks (wall-clock
+// speed floors) are measured on the machine and are not pure: the cache
+// never stores them, and the stream counts only the body's checks.
 package orchestrator
 
 import (
@@ -170,11 +173,11 @@ func execute(ctx context.Context, e experiments.Experiment, timeout time.Duratio
 }
 
 // Failed returns the results that did not produce a passing artifact:
-// run errors and check failures both count.
+// run errors, check failures and host check failures all count.
 func Failed(results []*Result) []*Result {
 	var out []*Result
 	for _, r := range results {
-		if r.Err != nil || r.Artifact == nil || !r.Artifact.Checks.AllOK() {
+		if r.Err != nil || r.Artifact == nil || !r.Artifact.Checks.AllOK() || !r.Artifact.Host.AllOK() {
 			out = append(out, r)
 		}
 	}

@@ -23,8 +23,9 @@ import (
 	"roadrunner/internal/report"
 )
 
-// renderAll renders every artifact in suite order; byte-identical output
-// is the determinism contract between serial and parallel runs.
+// renderAll renders every artifact body in suite order; byte-identical
+// output is the determinism contract between serial and parallel runs.
+// Host checks measure the machine, not the model, and are left out.
 func renderAll(t *testing.T, results []*Result) string {
 	t.Helper()
 	var b strings.Builder
@@ -32,7 +33,7 @@ func renderAll(t *testing.T, results []*Result) string {
 		if r.Err != nil {
 			t.Fatalf("%s: %v", r.ID, r.Err)
 		}
-		b.WriteString(r.Artifact.String())
+		b.WriteString(r.Artifact.Body())
 		b.WriteByte('\n')
 	}
 	return b.String()
@@ -166,6 +167,28 @@ func TestCacheHitSkipsRecomputeAndMatches(t *testing.T) {
 	}
 	if renderAll(t, cold) != renderAll(t, warm) {
 		t.Fatal("cached artifacts render differently from computed ones")
+	}
+}
+
+// TestCacheNeverStoresHostChecks: a host check is a verdict on the
+// machine that computed the artifact, so a cache hit must not serve it.
+func TestCacheNeverStoresHostChecks(t *testing.T) {
+	cache, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	art := &experiments.Artifact{ID: "x", Title: "t", PaperRef: "r"}
+	art.Checks.True("model", true, "")
+	art.Host.True("fast enough", false, "wall clock")
+	if err := cache.Put("k0", art); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := cache.Get("k0")
+	if !ok {
+		t.Fatal("stored artifact missed")
+	}
+	if len(got.Host.Items) != 0 || got.Body() != art.Body() {
+		t.Errorf("cached artifact %q with host %v, want body %q and no host checks", got.Body(), got.Host, art.Body())
 	}
 }
 
