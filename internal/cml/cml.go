@@ -217,10 +217,9 @@ type send struct {
 // path's store-and-forward segments: it schedules one event per latency
 // segment and per DaCS, DMA or HCA chunk, and queues on the DMA queues,
 // EIB ports, DaCS wires and HCAs it crosses. From the event that ends
-// the last segment it runs deliver with the message, then then — the
-// instant a blocking sender would have returned. The chain starts with a
-// scheduled segment on every path, so neither runs before StartSend
-// returns.
+// the last segment it runs deliver with the message, then then, the
+// sender's continuation. Every path starts with a scheduled segment, so
+// neither runs before StartSend returns.
 func (r *Rank) StartSend(dst, tag int, data []float64, deliver func(*Message), then func()) {
 	w := r.world
 	if dst < 0 || dst >= len(w.ranks) {

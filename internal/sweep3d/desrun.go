@@ -92,14 +92,14 @@ type desRun struct {
 }
 
 // walker steps one rank through its KBA program as an event-driven state
-// machine. Per octant and K block a step does what one resume of a
-// blocking rank process did: receive x and y from upstream, sweep the
-// block, wait out its compute time, then send x and y downstream (or
-// tally them as leakage at the domain edge). A walk stops at a recv with
-// no match (the next delivery to the rank steps it at delay 0, whether
-// or not it matches), at the compute delay, and while a send's chain
-// runs (its end continues the walk in the same event), so the walker
-// takes exactly the calendar slots the process took.
+// machine. Per octant and K block it receives x and y from upstream,
+// sweeps the block, waits out its compute time, then sends x and y
+// downstream (or tallies them as leakage at the domain edge). A walk
+// stops at a recv with no match (the next delivery to the rank steps it
+// at delay 0, whether or not it matches), at the compute delay, and
+// while a send's chain runs (its end continues the walk in the same
+// event). Those stops fix the run's calendar, which
+// testdata/des_golden.txt pins.
 type walker struct {
 	d       *desRun
 	id      int
