@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint test perfbench-check bench bench-full bench-artifact bench-baseline bench-compare pdes-smoke trace-smoke topo-smoke serve-smoke surrogate-smoke docs docs-check suite clean
+.PHONY: all build lint test perfbench-check bench bench-full bench-artifact bench-baseline bench-compare pdes-smoke trace-smoke serve-smoke surrogate-smoke docs docs-check suite clean
 
 all: lint build test
 
@@ -105,32 +105,6 @@ trace-smoke:
 	$(GO) run ./cmd/rrtrace replay -i /tmp/sweep3d.trace.jsonl -congestion=off -skip-compute
 	$(GO) run ./cmd/rrtrace optimize -i /tmp/sweep3d.trace.jsonl -seed 1 \
 		-greedy-rounds 2 -greedy-batch 6 -anneal-rounds 2 -anneal-batch 6 -mapping 4
-
-# The per-topology CLI smoke CI runs (mirrored here): rrsim topology
-# queries and a congested collective plus an rrtrace replay on every
-# registered -topology value, then the byte-identity pin that
-# `-topology fattree` output is identical to the flagless default
-# (host-wall-clock throughput lines stripped — observability output,
-# never simulation input).
-topo-smoke:
-	$(GO) run ./cmd/rrtrace capture -px 4 -py 4 -k 20 -o /tmp/topo.trace.jsonl
-	@for t in fattree fattree-ecmp fattree-full torus; do \
-		echo "topo-smoke: $$t"; \
-		$(GO) run ./cmd/rrsim -topology $$t 0 2000 || exit 1; \
-		$(GO) run ./cmd/rrsim -topology $$t -census -audit || exit 1; \
-		$(GO) run ./cmd/rrsim -topology $$t -collective alltoall-pairwise -ranks 64 -msg 4096 || exit 1; \
-		$(GO) run ./cmd/rrtrace replay -i /tmp/topo.trace.jsonl -topology $$t -placement strided || exit 1; \
-	done
-	$(GO) run ./cmd/rrsim -census -audit -collective alltoall-pairwise -ranks 64 -msg 4096 \
-		| grep -v 'events/s host' > /tmp/topo-rrsim-default.out
-	$(GO) run ./cmd/rrsim -topology fattree -census -audit -collective alltoall-pairwise -ranks 64 -msg 4096 \
-		| grep -v 'events/s host' > /tmp/topo-rrsim-fattree.out
-	diff /tmp/topo-rrsim-default.out /tmp/topo-rrsim-fattree.out
-	$(GO) run ./cmd/rrtrace replay -i /tmp/topo.trace.jsonl -placement strided \
-		| grep -v 'events/s host' > /tmp/topo-replay-default.out
-	$(GO) run ./cmd/rrtrace replay -i /tmp/topo.trace.jsonl -topology fattree -placement strided \
-		| grep -v 'events/s host' > /tmp/topo-replay-fattree.out
-	diff /tmp/topo-replay-default.out /tmp/topo-replay-fattree.out
 
 # The serving-layer contract under the race detector: structured 4xx on
 # malformed submissions, request coalescing, serial ≡ 64-way-concurrent

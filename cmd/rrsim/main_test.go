@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"roadrunner/internal/fabric"
 )
 
 // runCLI runs rrsim in-process and returns its exit status and what it
@@ -73,4 +75,50 @@ func TestDESFollowsTopology(t *testing.T) {
 		strings.Count(stderr, "\n") != 1 {
 		t.Errorf("-topology bogus: exit %d, stdout %q, stderr %q; want exit 2 and one stderr line", code, stdout, stderr)
 	}
+}
+
+// TestEveryTopologyRuns is the per-topology smoke: a hop query, the
+// census and audit, and a congested 64-rank alltoall exit 0 on every
+// registered -topology value.
+func TestEveryTopologyRuns(t *testing.T) {
+	for _, topo := range fabric.Topologies() {
+		for _, args := range [][]string{
+			{"-topology", topo, "0", "2000"},
+			{"-topology", topo, "-census", "-audit"},
+			{"-topology", topo, "-collective", "alltoall-pairwise", "-ranks", "64", "-msg", "4096"},
+		} {
+			if code, _, stderr := runCLI(t, args...); code != 0 {
+				t.Errorf("rrsim %s: exit %d: %s", strings.Join(args, " "), code, stderr)
+			}
+		}
+	}
+}
+
+// TestFatTreeTopologyMatchesDefault: -topology fattree prints what the
+// flagless run prints, once the host-throughput lines are dropped.
+func TestFatTreeTopologyMatchesDefault(t *testing.T) {
+	args := []string{"-census", "-audit", "-collective", "alltoall-pairwise", "-ranks", "64", "-msg", "4096"}
+	code, def, stderr := runCLI(t, args...)
+	if code != 0 {
+		t.Fatalf("default: exit %d: %s", code, stderr)
+	}
+	code, ft, stderr := runCLI(t, append([]string{"-topology", "fattree"}, args...)...)
+	if code != 0 {
+		t.Fatalf("-topology fattree: exit %d: %s", code, stderr)
+	}
+	if a, b := dropHostLines(def), dropHostLines(ft); a == "" || a != b {
+		t.Errorf("-topology fattree output differs from the default:\n%s\n---\n%s", b, a)
+	}
+}
+
+// dropHostLines removes the lines that report host wall-clock
+// throughput, which differ from run to run.
+func dropHostLines(s string) string {
+	var kept []string
+	for _, l := range strings.SplitAfter(s, "\n") {
+		if !strings.Contains(l, "events/s host") {
+			kept = append(kept, l)
+		}
+	}
+	return strings.Join(kept, "")
 }

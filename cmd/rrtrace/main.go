@@ -314,16 +314,15 @@ func optimize(args []string) int {
 var placementNames = []string{"block", "strided", "packed"}
 
 // checkFlags reads the -congestion flag into its transport policy (off
-// is the infinite-capacity fabric) and rejects the placement and
-// census flag values the generators would panic on, with one line on
-// stderr.
+// is the zero Policy, the uncongested fabric, which keeps no census) and
+// rejects the placement and census flag values the generators would
+// panic on, with one line on stderr.
 func checkFlags(cmd, congestion string, stride, perNode, toplinks int) (transport.Policy, bool) {
 	var pol transport.Policy
 	switch congestion {
 	case "on":
 		pol = transport.Congested()
 	case "off":
-		pol = transport.InfiniteCapacity()
 	default:
 		fmt.Fprintf(os.Stderr, "rrtrace %s: -congestion must be on or off, got %q\n", cmd, congestion)
 		return pol, false

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"roadrunner/internal/fabric"
 	"roadrunner/internal/trace"
 	"roadrunner/internal/units"
 )
@@ -135,14 +136,53 @@ func TestReplayAllMatchesSingleReplays(t *testing.T) {
 	}
 }
 
-// TestReplayCongestionOffPrintsCensus: off is the infinite-capacity
-// fabric, whose census is kept but never queues.
-func TestReplayCongestionOffPrintsCensus(t *testing.T) {
-	code, stdout, stderr := runCLI(t, "replay", "-i", smallTrace(t), "-congestion=off")
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, stderr)
+// TestReplayCongestionOffPrintsNoCensus: off is the zero Policy, the
+// infinite-capacity fabric, which keeps no link state, so neither a
+// replay nor any placement of -placement all prints a census line.
+func TestReplayCongestionOffPrintsNoCensus(t *testing.T) {
+	tr := smallTrace(t)
+	for _, args := range [][]string{
+		{"replay", "-i", tr, "-congestion=off"},
+		{"replay", "-i", tr, "-congestion=off", "-placement", "all"},
+	} {
+		code, stdout, stderr := runCLI(t, args...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d: %s", args, code, stderr)
+		}
+		if !strings.Contains(stdout, " simulated") {
+			t.Errorf("%v: no simulated time in\n%s", args, stdout)
+		}
+		if strings.Contains(stdout, "census:") {
+			t.Errorf("%v: census line with congestion off in\n%s", args, stdout)
+		}
 	}
-	if !regexp.MustCompile(`(?m)^  census: \d+ links carried flows, 0 queued, `).MatchString(stdout) {
-		t.Errorf("no census line with 0 queued in\n%s", stdout)
+}
+
+// TestReplayEveryTopology: a strided replay of the 4×4 capture exits 0
+// on every registered -topology, and -topology fattree prints what the
+// flagless replay prints, once the host-throughput lines are dropped.
+func TestReplayEveryTopology(t *testing.T) {
+	tr := smallTrace(t)
+	for _, topo := range fabric.Topologies() {
+		if code, _, stderr := runCLI(t, "replay", "-i", tr, "-topology", topo, "-placement", "strided"); code != 0 {
+			t.Errorf("replay -topology %s: exit %d: %s", topo, code, stderr)
+		}
 	}
+	_, def, _ := runCLI(t, "replay", "-i", tr, "-placement", "strided")
+	_, ft, _ := runCLI(t, "replay", "-i", tr, "-topology", "fattree", "-placement", "strided")
+	if a, b := dropHostLines(def), dropHostLines(ft); a == "" || a != b {
+		t.Errorf("-topology fattree replay differs from the default:\n%s\n---\n%s", b, a)
+	}
+}
+
+// dropHostLines removes the lines that report host wall-clock
+// throughput, which differ from run to run.
+func dropHostLines(s string) string {
+	var kept []string
+	for _, l := range strings.SplitAfter(s, "\n") {
+		if !strings.Contains(l, "events/s host") {
+			kept = append(kept, l)
+		}
+	}
+	return strings.Join(kept, "")
 }

@@ -156,12 +156,6 @@ type Rank struct {
 	addr  Addr
 }
 
-// ID returns the rank number.
-func (r *Rank) ID() int { return r.id }
-
-// Addr returns the rank's placement.
-func (r *Rank) Addr() Addr { return r.addr }
-
 // opteronCore returns the Opteron core that forwards for this rank's
 // Cell (the paired core; see triblade).
 func (r *Rank) opteronCore() int { return r.addr.Cell }

@@ -148,8 +148,8 @@ type Config struct {
 	Profile ib.Profile
 	Places  []Placement
 	// Congestion selects the transport's link-occupancy model. The zero
-	// value keeps the PR 2 infinite-capacity path;
-	// transport.Congested() makes concurrent flows on one cable
+	// value is the infinite-capacity fabric, with no link state and no
+	// census; transport.Congested() makes concurrent flows on one cable
 	// serialize, so the 2:1 taper throttles dense exchanges.
 	Congestion transport.Policy
 	Root       int // broadcast root rank (0 if unset)

@@ -20,7 +20,7 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/golden.txt")
 
 // collGoldenPath pins the collectives' absolute outputs. The relative
-// pins (RunMany ≡ Run, infinite capacity ≡ unrouted, reruns) follow any
+// pins (RunMany ≡ Run, unqueued congested ≡ unrouted, reruns) follow any
 // change to the rank scheduling on both sides; this file does not.
 const collGoldenPath = "testdata/golden.txt"
 
@@ -61,20 +61,19 @@ func writeCollGolden(w *bytes.Buffer, label string, r *Result) {
 
 // TestGoldenCollectiveOutputs runs every algorithm over block placements
 // on the fat tree and the torus — rank counts from one to 64, the
-// unrouted, infinite-capacity and congested policies, and sizes from
-// zero through eager, rendezvous and a payload of several HCA chunks —
-// plus packed (four ranks per node, near and far cores) and strided
-// placements, broadcasts from a non-zero root and a congested 360-node
-// alltoall over a seeded permutation, and compares the rendering with
-// the checked-in file. Rerun with -update only when a change to the
-// simulated model is intended.
+// unrouted and congested policies, and sizes from zero through eager,
+// rendezvous and a payload of several HCA chunks — plus packed (four
+// ranks per node, near and far cores) and strided placements, broadcasts
+// from a non-zero root and a congested 360-node alltoall over a seeded
+// permutation, and compares the rendering with the checked-in file.
+// Rerun with -update only when a change to the simulated model is
+// intended.
 func TestGoldenCollectiveOutputs(t *testing.T) {
 	policies := []struct {
 		name string
 		pol  transport.Policy
 	}{
 		{"unrouted", transport.Policy{}},
-		{"infinite", transport.InfiniteCapacity()},
 		{"congested", transport.Congested()},
 	}
 	sizes := []units.Size{0, 4 * units.KB, 64 * units.KB, units.MB}

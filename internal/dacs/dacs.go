@@ -113,14 +113,13 @@ const chunkSize = 64 * units.KB
 type Pair struct {
 	Profile Profile
 	eng     *sim.Engine
-	name    string
 	wire    [2]*sim.Resource // per-direction FIFO
 	active  [2]int           // senders currently streaming per direction
 }
 
 // NewPair creates a DaCS endpoint pair on the engine.
 func NewPair(eng *sim.Engine, name string, pr Profile) *Pair {
-	p := &Pair{Profile: pr, eng: eng, name: name}
+	p := &Pair{Profile: pr, eng: eng}
 	p.wire[0] = sim.NewResource(eng, name+"/c2o", 1)
 	p.wire[1] = sim.NewResource(eng, name+"/o2c", 1)
 	return p

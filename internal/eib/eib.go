@@ -35,10 +35,6 @@ var PerDMASetup = units.FromNanoseconds(91)
 // Bus is the EIB plus MIC of one Cell chip.
 type Bus struct {
 	eng *sim.Engine
-	// ring is the aggregate EIB bandwidth resource. With 96 B/cycle at
-	// 3.2 GHz the ring sustains 307.2 GB/s, far above any single port;
-	// it matters only when many elements transfer at once.
-	ring units.Bandwidth
 	// ports serialize each element's 25.6 GB/s connection to the ring.
 	ports map[Element]*sim.Resource
 	// mic serializes main-memory access at 25.6 GB/s.
@@ -82,7 +78,6 @@ func (e Element) String() string {
 func NewBus(eng *sim.Engine, chipName string) *Bus {
 	b := &Bus{
 		eng:   eng,
-		ring:  units.Bandwidth(float64(params.EIBBytesPerCycle) * float64(params.CellClock)),
 		ports: make(map[Element]*sim.Resource),
 		mic:   sim.NewResource(eng, chipName+"/MIC", 1),
 	}

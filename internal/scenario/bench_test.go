@@ -41,7 +41,7 @@ func BenchmarkSaturationAlltoallCongested360(b *testing.B) {
 }
 
 func BenchmarkSaturationAlltoallInfinite360(b *testing.B) {
-	benchSaturationOp(b, collectives.AlltoallPairwise, 360, transport.InfiniteCapacity())
+	benchSaturationOp(b, collectives.AlltoallPairwise, 360, transport.Policy{})
 }
 
 func BenchmarkSaturationAllgatherCongested360(b *testing.B) {

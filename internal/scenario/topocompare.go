@@ -180,7 +180,7 @@ func TopoCompare() (*TopoCompareReport, error) {
 	var legs []leg
 	for _, topo := range rep.Topologies {
 		legs = append(legs,
-			leg{topo, transport.InfiniteCapacity()},
+			leg{topo, transport.Policy{}},
 			leg{topo, transport.Congested()})
 	}
 	fabs := make(map[string]*fabric.System, len(rep.Topologies))

@@ -204,9 +204,9 @@ func ReplayUnderPlacements(tr *trace.Trace, captureIteration units.Time) (*Trace
 		skip bool
 		what string
 	}{
-		{transport.InfiniteCapacity(), false, "baseline"},
+		{transport.Policy{}, false, "baseline"},
 		{transport.Congested(), false, "congested"},
-		{transport.InfiniteCapacity(), true, "comm baseline"},
+		{transport.Policy{}, true, "comm baseline"},
 		{transport.Congested(), true, "comm congested"},
 	}
 	results := make([][]*trace.ReplayResult, len(configs))

@@ -280,6 +280,23 @@ func TestServeJobLifecycle(t *testing.T) {
 	if sub.State != StateDone {
 		t.Errorf("resubmitted job state %q, want done", sub.State)
 	}
+
+	// The congested replay above reports its census; with congestion off
+	// the fabric keeps no link state, so an observe "all" replay carries
+	// its send lines but no census or link line.
+	if !bytes.Contains(data, []byte(`"kind":"census"`)) {
+		t.Errorf("congested census replay has no census line:\n%s", data)
+	}
+	off := submitWait(t, s, "/v1/replay",
+		[]byte(`{"trace":`+jsonString(tr)+`,"observe":"all","congestion":"off"}`))
+	if !bytes.Contains(off, []byte(`"kind":"send"`)) {
+		t.Errorf("off replay with observe all has no send line:\n%s", off)
+	}
+	for _, kind := range []string{`"kind":"census"`, `"kind":"link"`} {
+		if bytes.Contains(off, []byte(kind)) {
+			t.Errorf("off replay carries a %s line:\n%s", kind, off)
+		}
+	}
 }
 
 // TestServeCollectiveAndOptimize smoke-runs the other two job kinds end

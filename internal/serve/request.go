@@ -131,7 +131,7 @@ func policyFor(congestion string) (transport.Policy, *apiError) {
 	case "", "on":
 		return transport.Congested(), nil
 	case "off":
-		return transport.InfiniteCapacity(), nil
+		return transport.Policy{}, nil
 	}
 	return transport.Policy{}, badRequest("congestion must be \"on\" or \"off\", got %q", congestion)
 }
@@ -220,11 +220,12 @@ func (s *Server) parseReplay(body []byte) (func() ([]byte, error), *apiError) {
 	}
 	// The pool key is everything the evaluator fixes for its lifetime:
 	// the trace bytes and the config minus the placement.
-	poolKey := fmt.Sprintf("%s|cong=%v,ch=%d|skip=%v|scale=%g|obs=%d",
-		digest, policy.Enabled, policy.Channels, cfg.SkipCompute, cfg.ComputeScale, observe)
+	poolKey := fmt.Sprintf("%s|cong=%v|skip=%v|scale=%g|obs=%d",
+		digest, policy.Enabled, cfg.SkipCompute, cfg.ComputeScale, observe)
 	return func() ([]byte, error) {
 		ev, pool, err := s.checkout(poolKey, func() (*trace.EvaluatorPool, error) {
-			return trace.NewEvaluatorPool(tr, cfg, s.opts.PoolIdle)
+			// A pool keeps one idle evaluator per request worker.
+			return trace.NewEvaluatorPool(tr, cfg, s.opts.Workers)
 		})
 		if err != nil {
 			return nil, err
@@ -292,6 +293,9 @@ func (s *Server) parseOptimize(body []byte) (func() ([]byte, error), *apiError) 
 	if tr.Meta.Ranks > s.fab.Nodes() {
 		return nil, badRequest("trace spans %d ranks, fabric has %d nodes", tr.Meta.Ranks, s.fab.Nodes())
 	}
+	// An optimize job searches on one worker: it saturates one request
+	// worker, keeping the shards independent, and placement.Optimize's
+	// result does not depend on the count.
 	cfg := placement.Config{
 		Trace: tr,
 		Replay: trace.ReplayConfig{
@@ -306,7 +310,7 @@ func (s *Server) parseOptimize(body []byte) (func() ([]byte, error), *apiError) 
 			{Name: "packed", Places: toEndpoints(collectives.PackedPlacement(s.fab, tr.Meta.Ranks, perNode))},
 		},
 		Seed:           req.Seed,
-		Workers:        s.opts.OptimizeWorkers,
+		Workers:        1,
 		GreedyRounds:   req.GreedyRounds,
 		GreedyBatch:    req.GreedyBatch,
 		GreedyPatience: req.GreedyPatience,

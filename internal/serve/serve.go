@@ -56,27 +56,20 @@ type Options struct {
 	// MaxBodyBytes bounds one request body; larger submissions are
 	// rejected with 413 body_too_large (<= 0 means 64 MB).
 	MaxBodyBytes int64
-	// MaxJobs bounds the in-memory job registry; once reached, the
-	// oldest finished jobs are evicted to make room (<= 0 means 8192).
-	MaxJobs int
 	// PoolTraces bounds how many (trace, config) evaluator pools stay
 	// warm; the least recently created is closed beyond the bound
 	// (<= 0 means 8).
 	PoolTraces int
-	// PoolIdle bounds the idle evaluators each pool retains
-	// (<= 0 means Workers).
-	PoolIdle int
-	// OptimizeWorkers is the evaluator-pool size of each optimize job
-	// (<= 0 means 1: one optimize job saturates one request worker,
-	// keeping the shards independent). Like Workers, it changes wall
-	// clock only — placement.Optimize is worker-count invariant.
-	OptimizeWorkers int
 	// Cache, when non-nil, persists finished job artifacts
 	// content-addressed by the request bytes, params.Fingerprint and
 	// the build digest, so identical requests across service restarts
 	// (same binary, same model inputs) are free.
 	Cache *orchestrator.Cache
 }
+
+// maxJobs bounds the in-memory job registry; once reached, the oldest
+// finished jobs are evicted to make room.
+const maxJobs = 8192
 
 // withDefaults fills zero option fields.
 func (o Options) withDefaults() Options {
@@ -89,17 +82,8 @@ func (o Options) withDefaults() Options {
 	if o.MaxBodyBytes <= 0 {
 		o.MaxBodyBytes = 64 << 20
 	}
-	if o.MaxJobs <= 0 {
-		o.MaxJobs = 8192
-	}
 	if o.PoolTraces <= 0 {
 		o.PoolTraces = 8
-	}
-	if o.PoolIdle <= 0 {
-		o.PoolIdle = o.Workers
-	}
-	if o.OptimizeWorkers <= 0 {
-		o.OptimizeWorkers = 1
 	}
 	return o
 }
@@ -314,19 +298,19 @@ func (s *Server) register(job *Job) (*Job, *apiError) {
 // full, answering registry_full when nothing is evictable. Caller holds
 // s.mu.
 func (s *Server) makeRoomLocked() *apiError {
-	if len(s.jobs) < s.opts.MaxJobs {
+	if len(s.jobs) < maxJobs {
 		return nil
 	}
 	kept := s.order[:0]
 	for _, id := range s.order {
-		if len(s.jobs) >= s.opts.MaxJobs && s.jobs[id].settled() {
+		if len(s.jobs) >= maxJobs && s.jobs[id].settled() {
 			delete(s.jobs, id)
 			continue
 		}
 		kept = append(kept, id)
 	}
 	s.order = append([]string(nil), kept...)
-	if len(s.jobs) >= s.opts.MaxJobs {
+	if len(s.jobs) >= maxJobs {
 		return &apiError{http.StatusServiceUnavailable, "registry_full",
 			fmt.Sprintf("%d jobs in flight; retry later", len(s.jobs))}
 	}

@@ -270,7 +270,7 @@ func newModel(mat *trace.TrafficMatrix, dag *compiled, fab *fabric.System, prof 
 		fab:      fab,
 		prof:     prof,
 		pol:      pol,
-		queueing: pol.Enabled && pol.Channels > 0,
+		queueing: pol.Enabled,
 		mfPs:     psPerByte(prof.MultiFlowBandwidth),
 		dupPs:    psPerByte(prof.DuplexAggregate),
 		eng:      eng,

@@ -31,13 +31,13 @@ func evalPlacements(fab *fabric.System, ranks int) [][]transport.Endpoint {
 // Evaluate calls on one Evaluator produces results byte-identical to a
 // fresh one-shot Replay per placement — same makespans, same per-send
 // timings, same census, same engine stats — under both the congested
-// and the infinite-capacity policy. Nothing of one evaluation may leak
-// into the next.
+// policy and the zero Policy. Nothing of one evaluation may leak into
+// the next.
 func TestEvaluatorMatchesFreshReplay(t *testing.T) {
 	fab := fabric.NewScaled(1)
 	tr := meshTrace(t, 16, 96*units.KB)
 	placements := evalPlacements(fab, 16)
-	for _, pol := range []transport.Policy{transport.Congested(), transport.InfiniteCapacity()} {
+	for _, pol := range []transport.Policy{transport.Congested(), {}} {
 		cfg := ReplayConfig{Fabric: fab, Profile: ib.OpenMPI(), Policy: pol, Observe: ObserveAll}
 		ev, err := NewEvaluator(tr, cfg)
 		if err != nil {

@@ -43,9 +43,9 @@ type ReplayConfig struct {
 	// each Evaluate call.)
 	Places []transport.Endpoint
 	// Policy is the transport's congestion model: transport.Congested()
-	// for wormhole link channels, transport.InfiniteCapacity() for the
-	// routed-but-unthrottled fabric, the zero value for the unrouted
-	// legacy path (byte-identical timing to InfiniteCapacity).
+	// for wormhole link channels and a link census, the zero value for
+	// the infinite-capacity fabric, which keeps no link state and
+	// reports no census.
 	Policy transport.Policy
 	// ComputeScale multiplies compute-record durations (0 means 1.0):
 	// replay the same schedule on a faster or slower processor model

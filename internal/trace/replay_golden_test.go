@@ -69,13 +69,13 @@ func writeGolden(w *bytes.Buffer, label string, r *trace.ReplayResult) {
 	fmt.Fprintf(w, "sends %d sha256 %x\n", len(r.Sends), h.Sum(nil))
 }
 
-// TestGoldenReplayOutputs replays the bench capture under every policy
-// (congested, infinite capacity, unrouted) with and without compute,
-// over four placements, on one pooled Evaluator per configuration (so
-// the first placement runs the construction path and the rest the
-// reset path), and compares the rendering with the checked-in file.
-// EvaluateMany at two workers must render the same bytes. Rerun with
-// -update only when a change to the simulated model is intended.
+// TestGoldenReplayOutputs replays the bench capture under both policies
+// (congested, unrouted) with and without compute, over four placements,
+// on one pooled Evaluator per configuration (so the first placement
+// runs the construction path and the rest the reset path), and compares
+// the rendering with the checked-in file. EvaluateMany at two workers
+// must render the same bytes. Rerun with -update only when a change to
+// the simulated model is intended.
 func TestGoldenReplayOutputs(t *testing.T) {
 	tr, err := benchOnce()
 	if err != nil {
@@ -88,7 +88,6 @@ func TestGoldenReplayOutputs(t *testing.T) {
 		pol  transport.Policy
 	}{
 		{"congested", transport.Congested()},
-		{"infinite", transport.InfiniteCapacity()},
 		{"unrouted", transport.Policy{}},
 	}
 	var got bytes.Buffer

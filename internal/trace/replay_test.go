@@ -47,16 +47,16 @@ var chainSizes = []units.Size{
 }
 
 // TestReplayMatchesDirectTransfers pins the core replay-timing contract:
-// with the infinite-capacity (or off) policy, replaying a serial
-// schedule produces exactly the event sequence of driving
-// transport.Net.Transfer by hand — per message, start, sender-visible
-// completion and delivery instants all equal, so replay time is the sum
-// of the uncontended transfer costs.
+// under the zero Policy, or the congested one (a serial schedule never
+// queues), replaying a serial schedule produces exactly the event
+// sequence of driving transport.Net.Transfer by hand — per message,
+// start, sender-visible completion and delivery instants all equal, so
+// replay time is the sum of the uncontended transfer costs.
 func TestReplayMatchesDirectTransfers(t *testing.T) {
 	fab := fabric.NewScaled(1)
 	compute := 3 * units.Microsecond
 	tr := chainTrace(t, chainSizes, compute)
-	for _, pol := range []transport.Policy{{}, transport.InfiniteCapacity()} {
+	for _, pol := range []transport.Policy{{}, transport.Congested()} {
 		res, err := Replay(tr, ReplayConfig{
 			Fabric:  fab,
 			Profile: ib.OpenMPI(),
@@ -102,41 +102,79 @@ func TestReplayMatchesDirectTransfers(t *testing.T) {
 	}
 }
 
-// TestInfiniteCapacityMatchesOffPath: the routed-but-unthrottled fabric
-// reproduces the unrouted path event-for-event on an irregular many-rank
-// schedule; only the census differs (present vs nil).
-func TestInfiniteCapacityMatchesOffPath(t *testing.T) {
-	fab := fabric.NewScaled(1)
-	tr := meshTrace(t, 8, 16*units.KB)
-	base := ReplayConfig{Fabric: fab, Profile: ib.OpenMPI(), Places: blockEndpoints(fab, 8, 1), Observe: ObserveAll}
-
-	off := base
-	off.Policy = transport.Policy{}
-	inf := base
-	inf.Policy = transport.InfiniteCapacity()
-
-	ro, err := Replay(tr, off)
-	if err != nil {
-		t.Fatalf("off replay: %v", err)
+// TestUnqueuedCongestedReplayMatchesUncongested: a congested replay
+// whose census reports nothing queued reproduces the zero-Policy replay
+// event for event — makespan, every rank's finish, every send's timing
+// and the engine's counters — because an admission that does not queue
+// adds no calendar event; only the census differs (present vs nil). The
+// inputs are a serial chain, concurrent ring shifts and all-pairs
+// bursts, each on placements within one crossbar, across crossbars and
+// across CUs; off one crossbar the bursts queue and the rest do not.
+func TestUnqueuedCongestedReplayMatchesUncongested(t *testing.T) {
+	fab := fabric.NewScaled(2)
+	traces := map[string]*Trace{
+		"chain": chainTrace(t, chainSizes, 3*units.Microsecond),
 	}
-	ri, err := Replay(tr, inf)
-	if err != nil {
-		t.Fatalf("infinite replay: %v", err)
+	for _, size := range []units.Size{0, 4 * units.KB, 16 * units.KB, 64 * units.KB} {
+		traces[fmt.Sprintf("ring8 %v", size)] = ringTrace(t, 8, 3, size)
+		traces[fmt.Sprintf("mesh8 %v", size)] = meshTrace(t, 8, size)
 	}
-	if ro.Time != ri.Time {
-		t.Errorf("makespan %v off vs %v infinite", ro.Time, ri.Time)
+	strided := func(stride int) []transport.Endpoint {
+		out := make([]transport.Endpoint, 8)
+		for i := range out {
+			out[i] = transport.Endpoint{Node: fabric.FromGlobal(i * stride), Core: 1}
+		}
+		return out
 	}
-	if !reflect.DeepEqual(ro.Sends, ri.Sends) {
-		t.Error("per-message timings differ between off and infinite-capacity policies")
+	placements := map[string][]transport.Endpoint{
+		"block":      blockEndpoints(fab, 8, 1),
+		"xbars":      strided(8),
+		"cross-cu":   strided(45),
+		"strided-23": strided(23),
 	}
-	if !reflect.DeepEqual(ro.RankFinish, ri.RankFinish) {
-		t.Error("rank finish times differ between off and infinite-capacity policies")
+	unqueued := 0
+	for tname, tr := range traces {
+		for pname, places := range placements {
+			places = places[:tr.Meta.Ranks]
+			cfg := ReplayConfig{Fabric: fab, Profile: ib.OpenMPI(), Places: places, Observe: ObserveAll}
+			off, err := Replay(tr, cfg)
+			if err != nil {
+				t.Fatalf("%s %s: zero-Policy replay: %v", tname, pname, err)
+			}
+			cfg.Policy = transport.Congested()
+			con, err := Replay(tr, cfg)
+			if err != nil {
+				t.Fatalf("%s %s: congested replay: %v", tname, pname, err)
+			}
+			if off.Congestion != nil {
+				t.Errorf("%s %s: zero Policy produced a census", tname, pname)
+			}
+			c := con.Congestion
+			if c == nil {
+				t.Fatalf("%s %s: congested replay produced no census", tname, pname)
+			}
+			if c.Queued != 0 {
+				continue
+			}
+			if c.Links > 0 {
+				unqueued++
+			}
+			if con.Time != off.Time {
+				t.Errorf("%s %s: makespan %v congested vs %v", tname, pname, con.Time, off.Time)
+			}
+			if !reflect.DeepEqual(con.RankFinish, off.RankFinish) {
+				t.Errorf("%s %s: rank finish times differ", tname, pname)
+			}
+			if !reflect.DeepEqual(con.Sends, off.Sends) {
+				t.Errorf("%s %s: per-message timings differ", tname, pname)
+			}
+			if con.EngineStats != off.EngineStats {
+				t.Errorf("%s %s: engine stats %+v congested vs %+v", tname, pname, con.EngineStats, off.EngineStats)
+			}
+		}
 	}
-	if ro.Congestion != nil {
-		t.Error("off policy produced a census")
-	}
-	if ri.Congestion == nil {
-		t.Error("infinite-capacity policy produced no census")
+	if unqueued == 0 {
+		t.Fatal("no congested replay admitted a flow without queueing; the comparison is vacuous")
 	}
 }
 
@@ -153,6 +191,26 @@ func meshTrace(t *testing.T, ranks int, size units.Size) *Trace {
 		}
 		for src := 0; src < r; src++ {
 			rec.Recv(r, src, src*ranks+r, size, 0)
+		}
+	}
+	tr, err := rec.Trace()
+	if err != nil {
+		t.Fatalf("recorder: %v", err)
+	}
+	return tr
+}
+
+// ringTrace builds rounds of a ring shift: in each round every rank
+// computes, sends to its right neighbour and receives from its left, so
+// all ranks' flows are on the wire at once, each on a route of its own.
+func ringTrace(t *testing.T, ranks, rounds int, size units.Size) *Trace {
+	t.Helper()
+	rec := NewRecorder(fmt.Sprintf("ring-%d", ranks), "test", ranks)
+	for k := 0; k < rounds; k++ {
+		for r := 0; r < ranks; r++ {
+			rec.Compute(r, units.Time(r+1)*units.Microsecond, 0)
+			rec.Send(r, (r+1)%ranks, k, size, 0)
+			rec.Recv(r, (r+ranks-1)%ranks, k, size, 0)
 		}
 	}
 	tr, err := rec.Trace()
@@ -211,7 +269,6 @@ func TestCongestionSlowsSharedLinks(t *testing.T) {
 		places[4+r] = transport.Endpoint{Node: fabric.FromGlobal(8 + 12*r), Core: 1}
 	}
 	cfg := ReplayConfig{Fabric: fab, Profile: ib.OpenMPI(), Places: places, Observe: ObserveCensus}
-	cfg.Policy = transport.InfiniteCapacity()
 	baseline, err := Replay(tr, cfg)
 	if err != nil {
 		t.Fatalf("baseline replay: %v", err)

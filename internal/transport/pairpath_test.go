@@ -143,3 +143,44 @@ func TestPairPathAdmissionEmptyWhenCongestionOff(t *testing.T) {
 		t.Errorf("timing accessors empty off-path: hops %d lat %v", pp.Hops(), pp.FabricLatency())
 	}
 }
+
+// TestResolvingRoutesBuildsNoResource pins the lazy channel: resolving
+// routes on a congested net (what internal/surrogate does) creates link
+// states but no admission resource, Reset passes over such states, and
+// only the links a flow is admitted onto gain one.
+func TestResolvingRoutesBuildsNoResource(t *testing.T) {
+	eng := sim.NewEngine()
+	defer eng.Close()
+	net := New(eng, fabric.NewScaled(2), ib.OpenMPI(), Congested())
+	for _, pr := range pairSample() {
+		net.PairPath(pr[0], pr[1])
+	}
+	if net.Links() == 0 {
+		t.Fatal("no link resolved")
+	}
+	for id, st := range net.states {
+		if st.res != nil {
+			t.Fatalf("link %v has a resource before any admission", net.Link(int32(id)))
+		}
+	}
+	net.Reset()
+	src, dst := ep(0, 9), ep(1, 100)
+	eng.Spawn("sender", func(p *sim.Proc) {
+		net.Transfer(p, src, dst, 64*units.KB, func() {})
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	admitted := map[int32]bool{}
+	for _, id := range net.PairPath(src.Node, dst.Node).LinkIDs() {
+		admitted[id] = true
+	}
+	for id, st := range net.states {
+		if (st.res != nil) != admitted[int32(id)] {
+			t.Errorf("link %v: resource %v, admitted %v", net.Link(int32(id)), st.res != nil, admitted[int32(id)])
+		}
+	}
+	if c := net.Census(1); c.Links != len(admitted) {
+		t.Errorf("census counts %d links, the flow took %d", c.Links, len(admitted))
+	}
+}

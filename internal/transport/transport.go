@@ -1,29 +1,31 @@
 // Package transport owns the routed message path between nodes of the
 // Roadrunner interconnect: the MPI software overheads, the
 // eager/rendezvous protocol switch, the HCA streaming of internal/ib,
-// and — new with this layer — link-level congestion over the explicit
-// cable topology of internal/fabric.
+// and link-level congestion over the explicit cable topology of
+// internal/fabric.
 //
 // Point-to-point plumbing used to live inside internal/collectives as
 // private send/recv helpers charging per-hop latency against an
 // infinitely capacious fabric: two messages crossing the same uplink
 // never queued, so the 2:1 taper at the CU uplinks could not throttle
-// anything. Transfer instead routes every message over fabric.Route and,
-// when the congestion policy is enabled, holds a sim.Resource-backed
+// anything. The transport has two policies. The zero Policy keeps that
+// infinite-capacity fabric: per-hop latency from the route, no link
+// state. Congested() instead holds a sim.Resource-backed wormhole
 // channel on every fabric-interior link of the route (spine, uplink and
 // switch-internal cables — node ports belong to the ib adapter model;
-// see acquire) while the payload streams: concurrent flows crossing the
-// same cable serialize, exactly the mechanism a wormhole-routed fabric
-// exhibits when the reduced fat tree saturates.
+// see Pending.admit) while the payload streams: concurrent flows
+// crossing the same cable serialize, exactly the mechanism a
+// wormhole-routed fabric exhibits when the reduced fat tree saturates.
 //
-// The no-contention timing is unchanged from the PR 2 model: link
-// channels are acquired before the HCA stream and released after it, so
-// a flow that never queues sleeps through exactly the same event
-// sequence as the unrouted path. With congestion off — or with the link
-// capacity unlimited, the "infinite-capacity fabric" — results are
-// byte-identical to the legacy model; the invariant is pinned by
-// TestInfiniteCapacityMatchesOffPath here and, across every collective
-// algorithm, by collectives.TestInfiniteCapacityReproducesLegacyModel.
+// The no-contention timing is the same under both policies: link
+// channels are taken before the HCA stream and released after it, and
+// an admission that does not queue adds no calendar event, so a
+// congested run whose census reports nothing queued is byte-identical
+// in time and event count to the zero-Policy run. The invariant is
+// pinned by TestDisjointRoutesDoNotQueue here, by
+// trace.TestUnqueuedCongestedReplayMatchesUncongested and, across every
+// collective algorithm, by
+// collectives.TestUnqueuedCongestedRunMatchesUncongested.
 //
 // Endpoint flow accounting (ib.HCA sharing, duplex caps) composes with
 // link occupancy rather than being replaced by it: the stream rate is
@@ -41,31 +43,18 @@ import (
 	"roadrunner/internal/units"
 )
 
-// unlimited is the effective capacity of an infinite-capacity link
-// channel (admission never blocks, occupancy is still tracked).
-const unlimited = 1 << 30
-
 // Policy configures link-level congestion.
 type Policy struct {
-	// Enabled routes every payload-carrying message over the cable
-	// topology and accounts per-link occupancy. Off (the zero value)
-	// reproduces the unrouted PR 2 path with no link state at all.
+	// Enabled gives each direction of every fabric-interior cable one
+	// wormhole channel, so concurrent flows on a cable serialize, and
+	// accounts per-link occupancy for the census. Off (the zero value)
+	// is the infinite-capacity fabric, with no link state at all.
 	Enabled bool
-	// Channels is how many messages one directed link channel carries
-	// concurrently before later flows queue. 1 models wormhole circuits
-	// (concurrent flows on a cable serialize); <= 0 means unlimited —
-	// the infinite-capacity fabric, which keeps the census but never
-	// queues and therefore reproduces the legacy latency model exactly.
-	Channels int
 }
 
-// Congested returns the default congestion policy: every cable a single
-// wormhole channel per direction.
-func Congested() Policy { return Policy{Enabled: true, Channels: 1} }
-
-// InfiniteCapacity returns the routed policy with unlimited link
-// capacity: occupancy is observed, nothing ever queues.
-func InfiniteCapacity() Policy { return Policy{Enabled: true} }
+// Congested returns the congestion policy: every cable a single wormhole
+// channel per direction.
+func Congested() Policy { return Policy{Enabled: true} }
 
 // Endpoint locates one side of a transfer: the node and the Opteron core
 // the MPI call issues from (HCA proximity per Fig. 8).
@@ -74,11 +63,11 @@ type Endpoint struct {
 	Core int
 }
 
-// linkState is one directed link channel: its admission resource plus
-// traffic counters.
+// linkState is one directed link channel: its admission resource,
+// created on the first flow admitted, plus traffic counters.
 type linkState struct {
 	link  fabric.Link
-	res   *sim.Resource
+	res   *sim.Resource // nil until a flow is admitted onto the channel
 	msgs  int64
 	bytes units.Size
 }
@@ -188,7 +177,9 @@ func (n *Net) Reset() {
 	for _, st := range n.states {
 		st.msgs = 0
 		st.bytes = 0
-		st.res.ResetStats()
+		if st.res != nil {
+			st.res.ResetStats()
+		}
 	}
 	for _, h := range n.hcas {
 		if h != nil {
@@ -217,19 +208,14 @@ func (n *Net) Messages() int64 { return n.msgs }
 func (n *Net) WireBytes() units.Size { return n.wire }
 
 // linkID returns (creating on first use) the id of the link's channel
-// state.
+// state. Resolving a route builds no admission resource: a net that only
+// resolves routes (internal/surrogate) never pays for one.
 func (n *Net) linkID(l fabric.Link) int32 {
 	k := l.Key()
 	id, ok := n.links[k]
 	if !ok {
-		capacity := n.pol.Channels
-		if capacity <= 0 {
-			capacity = unlimited
-		}
 		id = int32(len(n.states))
-		st := &linkState{link: l}
-		st.res = sim.NewLabeledResource(n.eng, st, capacity)
-		n.states = append(n.states, st)
+		n.states = append(n.states, &linkState{link: l})
 		n.links[k] = id
 	}
 	return id
@@ -500,6 +486,9 @@ func (x *Pending) step() {
 func (x *Pending) admit() {
 	for x.linkIdx < len(x.links) {
 		st := x.n.states[x.links[x.linkIdx]]
+		if st.res == nil {
+			st.res = sim.NewLabeledResource(x.n.eng, st, 1)
+		}
 		if !st.res.AcquireFn(1, x.contFn) {
 			return // queued; contFn continues from this link
 		}

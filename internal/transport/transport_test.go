@@ -36,43 +36,10 @@ func runTransfers(t *testing.T, pol Policy, size units.Size, pairs [][2]Endpoint
 	return send, recv, net
 }
 
-// TestInfiniteCapacityMatchesOffPath is the transport-level half of the
-// invariant: with link capacity unlimited the routed path sleeps through
-// exactly the same event sequence as the unrouted PR 2 path, so
-// completion and delivery instants match tick for tick.
-func TestInfiniteCapacityMatchesOffPath(t *testing.T) {
-	pairs := [][2]Endpoint{
-		{ep(0, 0), ep(0, 1)},    // same crossbar
-		{ep(0, 2), ep(0, 170)},  // same CU
-		{ep(0, 3), ep(1, 3)},    // cross CU, same crossbar index
-		{ep(0, 9), ep(1, 100)},  // cross CU, different crossbar
-		{ep(1, 50), ep(1, 50)},  // intra-node shared memory
-		{ep(0, 40), ep(1, 177)}, // contends with nothing
-	}
-	for _, size := range []units.Size{0, 8, 4 * units.KB, 256 * units.KB} {
-		offS, offR, offNet := runTransfers(t, Policy{}, size, pairs)
-		infS, infR, infNet := runTransfers(t, InfiniteCapacity(), size, pairs)
-		for i := range pairs {
-			if offS[i] != infS[i] || offR[i] != infR[i] {
-				t.Errorf("size %v pair %d: off %v/%v != infinite %v/%v",
-					size, i, offS[i], offR[i], infS[i], infR[i])
-			}
-		}
-		if offNet.Census(1) != nil {
-			t.Error("congestion-off net produced a census")
-		}
-		if c := infNet.Census(3); size > 0 {
-			if c == nil || c.Queued != 0 || c.TotalWait != 0 {
-				t.Errorf("size %v: infinite-capacity fabric queued: %+v", size, c)
-			}
-		}
-	}
-}
-
 // TestUplinkSerialization pins the congestion mechanism: two flows from
 // the same line crossbar whose destination hashes pick the same uplink
 // cable serialize under the wormhole policy and overlap on the
-// infinite-capacity fabric.
+// infinite-capacity fabric (the zero Policy).
 func TestUplinkSerialization(t *testing.T) {
 	// Sources on CU0 crossbar 0; destinations 180 and 184 are both
 	// 0 mod 4, so both flows want cable (sw0, CU0, slot0).
@@ -81,7 +48,7 @@ func TestUplinkSerialization(t *testing.T) {
 		{ep(0, 1), ep(1, 4)},
 	}
 	const size = 256 * units.KB
-	infS, _, _ := runTransfers(t, InfiniteCapacity(), size, pairs)
+	infS, _, _ := runTransfers(t, Policy{}, size, pairs)
 	conS, _, net := runTransfers(t, Congested(), size, pairs)
 	if conS[0] != infS[0] {
 		t.Errorf("first-admitted flow slowed: %v vs %v", conS[0], infS[0])
@@ -114,24 +81,57 @@ func TestUplinkSerialization(t *testing.T) {
 	}
 }
 
-// TestDisjointRoutesDoNotQueue checks that flows on disjoint cables never
-// wait even under the wormhole policy.
+// TestDisjointRoutesDoNotQueue pins what the two policies share: flows
+// whose routes never contend do not wait under the wormhole policy, and
+// an admission that does not queue adds no calendar event, so every
+// completion and delivery instant and the engine's counters match the
+// zero-Policy run tick for tick. The second input mixes same-crossbar,
+// same-CU, cross-CU and intra-node pairs at sizes from zero through
+// eager to rendezvous.
 func TestDisjointRoutesDoNotQueue(t *testing.T) {
-	// Different source crossbars and destination hashes: disjoint routes.
-	pairs := [][2]Endpoint{
-		{ep(0, 0), ep(1, 1)},
-		{ep(0, 20), ep(1, 90)},
-		{ep(0, 60), ep(1, 175)},
+	inputs := []struct {
+		pairs [][2]Endpoint
+		sizes []units.Size
+	}{
+		// Different source crossbars and destination hashes: disjoint routes.
+		{[][2]Endpoint{
+			{ep(0, 0), ep(1, 1)},
+			{ep(0, 20), ep(1, 90)},
+			{ep(0, 60), ep(1, 175)},
+		}, []units.Size{256 * units.KB}},
+		{[][2]Endpoint{
+			{ep(0, 0), ep(0, 1)},    // same crossbar
+			{ep(0, 2), ep(0, 170)},  // same CU
+			{ep(0, 3), ep(1, 3)},    // cross CU, same crossbar index
+			{ep(0, 9), ep(1, 100)},  // cross CU, different crossbar
+			{ep(1, 50), ep(1, 50)},  // intra-node shared memory
+			{ep(0, 40), ep(1, 177)}, // contends with nothing
+		}, []units.Size{0, 8, 4 * units.KB, 256 * units.KB}},
 	}
-	infS, _, _ := runTransfers(t, InfiniteCapacity(), 256*units.KB, pairs)
-	conS, _, net := runTransfers(t, Congested(), 256*units.KB, pairs)
-	for i := range pairs {
-		if conS[i] != infS[i] {
-			t.Errorf("pair %d: disjoint flow delayed: %v vs %v", i, conS[i], infS[i])
+	for _, in := range inputs {
+		for _, size := range in.sizes {
+			offS, offR, off := runTransfers(t, Policy{}, size, in.pairs)
+			conS, conR, con := runTransfers(t, Congested(), size, in.pairs)
+			c := con.Census(1)
+			if c.Queued != 0 || c.TotalWait != 0 {
+				t.Fatalf("size %v: census shows queueing on disjoint routes: %+v", size, c)
+			}
+			if size > 0 && c.Links == 0 {
+				t.Fatalf("size %v: no flow was admitted onto a link", size)
+			}
+			for i := range in.pairs {
+				if conS[i] != offS[i] || conR[i] != offR[i] {
+					t.Errorf("size %v pair %d: congested %v/%v != zero Policy %v/%v",
+						size, i, conS[i], conR[i], offS[i], offR[i])
+				}
+			}
+			if a, b := off.eng.Stats(), con.eng.Stats(); a != b {
+				t.Errorf("size %v: engine stats %+v under the zero Policy, %+v congested", size, a, b)
+			}
+			if off.Census(1) != nil {
+				t.Error("zero-Policy net produced a census")
+			}
 		}
-	}
-	if c := net.Census(1); c.Queued != 0 || c.TotalWait != 0 {
-		t.Errorf("census shows queueing on disjoint routes: %+v", c)
 	}
 }
 

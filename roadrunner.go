@@ -48,13 +48,11 @@ import (
 	"roadrunner/internal/machine"
 	"roadrunner/internal/orchestrator"
 	"roadrunner/internal/params"
-	"roadrunner/internal/placement"
 	"roadrunner/internal/scenario"
 	"roadrunner/internal/serve"
 	"roadrunner/internal/surrogate"
 	"roadrunner/internal/sweep3d"
 	"roadrunner/internal/trace"
-	"roadrunner/internal/transport"
 	"roadrunner/internal/units"
 )
 
@@ -162,15 +160,6 @@ func Fabric() *fabric.System { return fabric.New() }
 // variants, and a 3D torus.
 func Topologies() []string { return fabric.Topologies() }
 
-// TopologyDescription returns a one-line description of a registered
-// topology ("" for unknown names).
-func TopologyDescription(name string) string { return fabric.TopologyDescription(name) }
-
-// FabricTopology returns the full-scale fabric wired as the named
-// topology. The "fattree" fabric is identical — route for route, event
-// for event — to Fabric().
-func FabricTopology(name string) (*fabric.System, error) { return fabric.NewTopology(name) }
-
 // CollectiveOp identifies one of the implemented collective algorithms
 // (binomial broadcast, recursive-doubling barrier and allreduce,
 // Rabenseifner and ring allreduce, ring allgather, pairwise alltoall).
@@ -196,15 +185,6 @@ func RunCollective(op CollectiveOp, nodes int, size units.Size) (*CollectiveResu
 	}
 	return collectives.Run(cfg, op, size)
 }
-
-// LinkUsage reports one fabric link channel's traffic and occupancy in a
-// congested run's census.
-type LinkUsage = transport.LinkUsage
-
-// CongestionCensus summarises link occupancy over a congested run: how
-// many channels carried traffic, total queueing delay, and the hottest
-// links ranked first.
-type CongestionCensus = transport.Census
 
 // RunCollectiveCongested is RunCollective on the congestion-aware
 // transport: every message is routed over the explicit cable topology
@@ -240,38 +220,6 @@ func RunCollectiveCongestedOn(topology string, op CollectiveOp, nodes int, size 
 	return collectives.Run(cfg, op, size)
 }
 
-// ScenarioPoint is one collective measurement inside a scenario sweep.
-type ScenarioPoint = scenario.Point
-
-// CollectiveScaling runs the latency-scaling scenario sweep: barrier,
-// broadcast and recursive-doubling allreduce from one crossbar (8
-// nodes) to the full 17-CU machine at an 8-byte payload.
-func CollectiveScaling() ([]ScenarioPoint, error) { return scenario.LatencyScaling() }
-
-// AllreduceCrossover runs the algorithm-crossover scenario sweep: the
-// three allreduce algorithms across message sizes at a fixed
-// communicator.
-func AllreduceCrossover() ([]ScenarioPoint, error) { return scenario.AllreduceCrossover() }
-
-// PanelBroadcastScenario measures HPL's per-panel broadcast on the DES
-// and scales it to the full factorisation via the linpack phase model.
-func PanelBroadcastScenario() (*scenario.PanelBroadcastResult, error) {
-	return scenario.PanelBroadcast()
-}
-
-// SaturationPoint is one (operation, communicator) measurement of the
-// congestion sweep: completion time on the congested fabric vs the
-// infinite-capacity fabric, their ratio, and the hottest links.
-type SaturationPoint = scenario.SaturationPoint
-
-// SaturationSweep runs the congestion scenario sweep: pairwise alltoall
-// and ring allgather from one crossbar to the full 17-CU machine, each
-// measured on the congested and the infinite-capacity fabric, locating
-// where the reduced fat tree's 2:1 taper saturates. This is the most
-// expensive sweep in the repository (the full-machine points run ~19M
-// messages each).
-func SaturationSweep() ([]SaturationPoint, error) { return scenario.Saturation() }
-
 // Trace is a captured communication schedule: ordered per-rank streams
 // of point-to-point send/recv/compute records with logical timestamps
 // and explicit cross-rank dependencies, serialized as JSONL.
@@ -283,18 +231,9 @@ type Trace = trace.Trace
 // makespan-only.
 type TraceReplayConfig = trace.ReplayConfig
 
-// TraceObserve selects a replay's observers: ObserveSends records
-// per-message timing, ObserveCensus builds the link-contention census,
-// ObserveAll both. The zero value is makespan-only — what the placement
-// optimizer's inner loop runs.
-type TraceObserve = trace.Observe
-
-// The replay observer flags.
-const (
-	ObserveSends  = trace.ObserveSends
-	ObserveCensus = trace.ObserveCensus
-	ObserveAll    = trace.ObserveAll
-)
+// ObserveAll turns on every replay observer of a TraceReplayConfig:
+// per-message timing and the link-contention census.
+const ObserveAll = trace.ObserveAll
 
 // TraceEvaluator is the batch replay evaluation path: the trace is
 // validated once and the sim engine, transport state, route caches and
@@ -339,19 +278,6 @@ func SaveTrace(path string, t *Trace) error { return trace.Save(path, t) }
 // deadlock-prone input.
 func LoadTrace(path string) (*Trace, error) { return trace.Load(path) }
 
-// TraceReplayPoint is one placement's measurement in the trace-replay
-// scenario sweep.
-type TraceReplayPoint = scenario.TraceReplayPoint
-
-// TraceReplayReport is the trace-replay sweep's outcome: the captured
-// Sweep3D trace's shape plus one point per rank placement.
-type TraceReplayReport = scenario.TraceReplayReport
-
-// TraceReplaySweep captures one Sweep3D iteration and replays it under
-// block, strided and packed rank placements, congested vs
-// infinite-capacity fabric — the trace-replay experiment's engine.
-func TraceReplaySweep() (*TraceReplayReport, error) { return scenario.TraceReplay() }
-
 // TopoCompareReport is the topology-comparison sweep's outcome: the
 // saturation collectives and the captured Sweep3D replay measured on
 // every registered fabric topology.
@@ -361,48 +287,12 @@ type TopoCompareReport = scenario.TopoCompareReport
 // every registered topology — the topo-compare experiment's engine.
 func TopoCompareSweep() (*TopoCompareReport, error) { return scenario.TopoCompare() }
 
-// PlacementStart is one named seed mapping for the placement optimizer.
-type PlacementStart = placement.Start
-
-// PlacementConfig parameterizes a rank-placement search: the trace, the
-// replay configuration the objective runs under, the seed mappings, the
-// random seed and the search shape.
-type PlacementConfig = placement.Config
-
-// PlacementResult is a placement search's outcome: baselines, the
-// winning mapping, its makespan and the search trajectory.
-type PlacementResult = placement.Result
-
-// OptimizePlacement searches rank→node mappings for a trace with greedy
-// pairwise-swap refinement plus batched simulated annealing, using the
-// pooled TraceEvaluator as the objective function. The result is a
-// deterministic function of the config; Workers only changes wall
-// clock.
-func OptimizePlacement(cfg PlacementConfig) (*PlacementResult, error) {
-	return placement.Optimize(cfg)
-}
-
-// PlacementTrajectory splits a search's objective work by tier: unique
-// DES replays, unique surrogate prices, deduplicated candidates and
-// the per-tier wall-clock (strip with WallFree before comparing or
-// archiving results).
-type PlacementTrajectory = placement.Trajectory
-
-// PlaceOptimizeReport is the place-optimize scenario's outcome: the
-// captured Sweep3D communication schedule searched against the
-// block/strided/packed baselines, with the winner's census.
-type PlaceOptimizeReport = scenario.PlaceOptimizeReport
-
-// PlaceOptimizeSweep captures one Sweep3D iteration and optimizes its
-// rank placement — the place-optimize experiment's engine.
-func PlaceOptimizeSweep() (*PlaceOptimizeReport, error) { return scenario.PlaceOptimize() }
-
 // SurrogateModel is the analytic queueing surrogate: a deterministic
 // event-driven walk of a trace's schedule over the topology's routes
 // that prices a rank→node mapping in microseconds instead of the
 // milliseconds a pooled DES replay costs. Calibrate fits its term
-// weights against DES-replayed anchors; PlacementConfig.Surrogate uses
-// it to screen candidates in the two-tier search.
+// weights against DES-replayed anchors; the two-tier placement search
+// (rrtrace optimize -surrogate) uses it to screen candidates.
 type SurrogateModel = surrogate.Model
 
 // NewSurrogate builds a surrogate matching a replay configuration
@@ -416,15 +306,6 @@ func NewSurrogate(tr *Trace, cfg TraceReplayConfig) (*SurrogateModel, error) {
 // cost lists (ties averaged; NaN for degenerate input): a screening
 // tier needs the ordering right, not the absolute times.
 func SurrogateSpearman(a, b []units.Time) float64 { return surrogate.Spearman(a, b) }
-
-// SurrogateXValReport is the surrogate-xval scenario's outcome: holdout
-// Spearman per registered topology plus the two-tier vs pure-DES
-// head-to-head.
-type SurrogateXValReport = scenario.SurrogateXValReport
-
-// SurrogateXValSweep cross-validates the surrogate against the DES on
-// every registered topology — the surrogate-xval experiment's engine.
-func SurrogateXValSweep() (*SurrogateXValReport, error) { return scenario.SurrogateXVal() }
 
 // ServeOptions configures the simulation-as-a-service HTTP server:
 // worker shards, queue depth, body bounds, warm evaluator pools and
@@ -448,27 +329,17 @@ func NewServer(opts ServeOptions) *Server { return serve.New(opts) }
 // weighted LINPACK, Sweep3D and trace-replay job classes.
 type FacilityWorkload = facility.Workload
 
-// FacilityClassSpec is one weighted job class inside a workload.
-type FacilityClassSpec = facility.ClassSpec
-
 // FacilityJobClass identifies a workload job class.
 type FacilityJobClass = facility.JobClass
 
-// The facility job classes.
-const (
-	FacilityClassSweep3D = facility.ClassSweep3D
-	FacilityClassLinpack = facility.ClassLinpack
-	FacilityClassTrace   = facility.ClassTrace
-)
+// FacilityClassTrace is the facility job class that replays a captured
+// communication schedule under the granted mapping.
+const FacilityClassTrace = facility.ClassTrace
 
 // FacilityResult is one facility simulation's accounting: per-job
 // outcomes plus utilization, queue waits, bounded slowdown,
 // fragmentation over time and the oracle-packer comparison.
 type FacilityResult = facility.Result
-
-// FacilityPoint is one (policy, allocator) run's headline numbers in
-// the facility sweep.
-type FacilityPoint = scenario.FacilityPoint
 
 // FacilityStreamReport is the full policy x allocator facility sweep.
 type FacilityStreamReport = scenario.FacilityStreamReport
