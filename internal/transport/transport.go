@@ -22,7 +22,7 @@
 // an admission that does not queue adds no calendar event, so a
 // congested run whose census reports nothing queued is byte-identical
 // in time and event count to the zero-Policy run. The invariant is
-// pinned by TestDisjointRoutesDoNotQueue here, by
+// pinned by TestUnqueuedCongestedTransfersMatchUncongested here, by
 // trace.TestUnqueuedCongestedReplayMatchesUncongested and, across every
 // collective algorithm, by
 // collectives.TestUnqueuedCongestedRunMatchesUncongested.

@@ -81,57 +81,63 @@ func TestUplinkSerialization(t *testing.T) {
 	}
 }
 
-// TestDisjointRoutesDoNotQueue pins what the two policies share: flows
-// whose routes never contend do not wait under the wormhole policy, and
-// an admission that does not queue adds no calendar event, so every
-// completion and delivery instant and the engine's counters match the
-// zero-Policy run tick for tick. The second input mixes same-crossbar,
-// same-CU, cross-CU and intra-node pairs at sizes from zero through
-// eager to rendezvous.
-func TestDisjointRoutesDoNotQueue(t *testing.T) {
-	inputs := []struct {
-		pairs [][2]Endpoint
-		sizes []units.Size
-	}{
-		// Different source crossbars and destination hashes: disjoint routes.
-		{[][2]Endpoint{
-			{ep(0, 0), ep(1, 1)},
-			{ep(0, 20), ep(1, 90)},
-			{ep(0, 60), ep(1, 175)},
-		}, []units.Size{256 * units.KB}},
-		{[][2]Endpoint{
-			{ep(0, 0), ep(0, 1)},    // same crossbar
-			{ep(0, 2), ep(0, 170)},  // same CU
-			{ep(0, 3), ep(1, 3)},    // cross CU, same crossbar index
-			{ep(0, 9), ep(1, 100)},  // cross CU, different crossbar
-			{ep(1, 50), ep(1, 50)},  // intra-node shared memory
-			{ep(0, 40), ep(1, 177)}, // contends with nothing
-		}, []units.Size{0, 8, 4 * units.KB, 256 * units.KB}},
+// requireUnqueuedMatch runs pairs at size under Congested() and under
+// the zero Policy and requires that no flow queued and that every
+// completion and delivery instant and the engine's counters match tick
+// for tick: an admission that does not queue adds no calendar event.
+func requireUnqueuedMatch(t *testing.T, size units.Size, pairs [][2]Endpoint) {
+	t.Helper()
+	offS, offR, off := runTransfers(t, Policy{}, size, pairs)
+	conS, conR, con := runTransfers(t, Congested(), size, pairs)
+	c := con.Census(1)
+	if c.Queued != 0 || c.TotalWait != 0 {
+		t.Fatalf("size %v: census shows queueing: %+v", size, c)
 	}
-	for _, in := range inputs {
-		for _, size := range in.sizes {
-			offS, offR, off := runTransfers(t, Policy{}, size, in.pairs)
-			conS, conR, con := runTransfers(t, Congested(), size, in.pairs)
-			c := con.Census(1)
-			if c.Queued != 0 || c.TotalWait != 0 {
-				t.Fatalf("size %v: census shows queueing on disjoint routes: %+v", size, c)
-			}
-			if size > 0 && c.Links == 0 {
-				t.Fatalf("size %v: no flow was admitted onto a link", size)
-			}
-			for i := range in.pairs {
-				if conS[i] != offS[i] || conR[i] != offR[i] {
-					t.Errorf("size %v pair %d: congested %v/%v != zero Policy %v/%v",
-						size, i, conS[i], conR[i], offS[i], offR[i])
-				}
-			}
-			if a, b := off.eng.Stats(), con.eng.Stats(); a != b {
-				t.Errorf("size %v: engine stats %+v under the zero Policy, %+v congested", size, a, b)
-			}
-			if off.Census(1) != nil {
-				t.Error("zero-Policy net produced a census")
-			}
+	if size > 0 && c.Links == 0 {
+		t.Fatalf("size %v: no flow was admitted onto a link", size)
+	}
+	for i := range pairs {
+		if conS[i] != offS[i] || conR[i] != offR[i] {
+			t.Errorf("size %v pair %d: congested %v/%v != zero Policy %v/%v",
+				size, i, conS[i], conR[i], offS[i], offR[i])
 		}
+	}
+	if a, b := off.eng.Stats(), con.eng.Stats(); a != b {
+		t.Errorf("size %v: engine stats %+v under the zero Policy, %+v congested", size, a, b)
+	}
+	if off.Census(1) != nil {
+		t.Error("zero-Policy net produced a census")
+	}
+}
+
+// TestDisjointRoutesDoNotQueue checks that flows on disjoint cables never
+// wait even under the wormhole policy.
+func TestDisjointRoutesDoNotQueue(t *testing.T) {
+	// Different source crossbars and destination hashes: disjoint routes.
+	pairs := [][2]Endpoint{
+		{ep(0, 0), ep(1, 1)},
+		{ep(0, 20), ep(1, 90)},
+		{ep(0, 60), ep(1, 175)},
+	}
+	requireUnqueuedMatch(t, 256*units.KB, pairs)
+}
+
+// TestUnqueuedCongestedTransfersMatchUncongested is the transport-level
+// half of the invariant that the congested path costs nothing while it
+// does not queue: same-crossbar, same-CU, cross-CU and intra-node pairs
+// at sizes from zero through eager to rendezvous run tick for tick as
+// on the zero Policy.
+func TestUnqueuedCongestedTransfersMatchUncongested(t *testing.T) {
+	pairs := [][2]Endpoint{
+		{ep(0, 0), ep(0, 1)},    // same crossbar
+		{ep(0, 2), ep(0, 170)},  // same CU
+		{ep(0, 3), ep(1, 3)},    // cross CU, same crossbar index
+		{ep(0, 9), ep(1, 100)},  // cross CU, different crossbar
+		{ep(1, 50), ep(1, 50)},  // intra-node shared memory
+		{ep(0, 40), ep(1, 177)}, // contends with nothing
+	}
+	for _, size := range []units.Size{0, 8, 4 * units.KB, 256 * units.KB} {
+		requireUnqueuedMatch(t, size, pairs)
 	}
 }
 
