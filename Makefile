@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint test perfbench-check bench bench-full bench-artifact bench-baseline bench-compare pdes-smoke trace-smoke serve-smoke surrogate-smoke docs docs-check suite clean
+.PHONY: all build lint test perfbench-check bench bench-full bench-artifact bench-baseline bench-compare pdes-smoke docs docs-check suite clean
 
 all: lint build test
 
@@ -96,35 +96,6 @@ pdes-smoke:
 	diff /tmp/pdes-1.stripped.jsonl /tmp/pdes-8.stripped.jsonl
 	diff -r -x suite-summary.csv /tmp/pdes-csv-1 /tmp/pdes-csv-2
 	diff -r -x suite-summary.csv /tmp/pdes-csv-1 /tmp/pdes-csv-8
-
-# The rrtrace capture→replay→optimize smoke CI runs (mirrored here).
-trace-smoke:
-	$(GO) run ./cmd/rrtrace capture -px 4 -py 4 -k 20 -o /tmp/sweep3d.trace.jsonl
-	$(GO) run ./cmd/rrtrace inspect -i /tmp/sweep3d.trace.jsonl
-	$(GO) run ./cmd/rrtrace replay -i /tmp/sweep3d.trace.jsonl -placement strided -toplinks 5
-	$(GO) run ./cmd/rrtrace replay -i /tmp/sweep3d.trace.jsonl -congestion=off -skip-compute
-	$(GO) run ./cmd/rrtrace optimize -i /tmp/sweep3d.trace.jsonl -seed 1 \
-		-greedy-rounds 2 -greedy-batch 6 -anneal-rounds 2 -anneal-batch 6 -mapping 4
-
-# The serving-layer contract under the race detector: structured 4xx on
-# malformed submissions, request coalescing, serial ≡ 64-way-concurrent
-# byte identity, cache round-trip, and the thousands-deep load harness.
-serve-smoke:
-	$(GO) test -race -count=1 -run 'TestServe' ./internal/serve
-
-# The analytic-surrogate smoke CI runs (mirrored here): the surrogate
-# and two-tier placement unit tests under the race detector, the
-# cross-validation contract (holdout Spearman, top-3 agreement,
-# two-tier parity, serial ≡ parallel), and an rrtrace optimize
-# -surrogate CLI run end to end.
-surrogate-smoke:
-	$(GO) test -race -count=1 ./internal/surrogate
-	$(GO) test -race -count=1 -run 'TestSurrogate|TestOptimize|TestDedupe' \
-		./internal/scenario ./internal/placement
-	$(GO) run ./cmd/rrtrace capture -px 4 -py 4 -k 20 -o /tmp/surrogate.trace.jsonl
-	$(GO) run ./cmd/rrtrace optimize -i /tmp/surrogate.trace.jsonl -seed 1 \
-		-surrogate -screen-factor 4 -anchors 12 \
-		-greedy-rounds 2 -greedy-batch 6 -anneal-rounds 2 -anneal-batch 6 -mapping 4
 
 # Regenerate the generated documentation (docs/experiments.md) and
 # check it is current — CI fails when it is stale.

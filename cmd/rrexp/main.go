@@ -14,8 +14,9 @@
 //	rrexp -run all -parallel -cache [-csv out/] [-jsonl results.jsonl]
 //	rrexp -run all -workers 4 -timeout 30s -quiet
 //
-// Host checks — wall-clock floors measured on this machine, never cached
-// — print on stderr after the experiment's output.
+// Host checks — wall-clock floors measured on this machine once every
+// experiment has finished, for cached artifacts too, and never cached —
+// print on stderr after the experiment's output.
 //
 // Exit status: 0 all experiments passed their paper-vs-measured and host
 // checks, 1 some failed or errored, 2 usage or I/O error.
@@ -38,6 +39,7 @@ import (
 
 	"roadrunner"
 	"roadrunner/internal/fabric"
+	"roadrunner/internal/orchestrator"
 	"roadrunner/internal/scenario"
 )
 
@@ -56,7 +58,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	parallel := fs.Bool("parallel", false, "run the suite on a GOMAXPROCS-sized worker pool")
 	workers := fs.Int("workers", 0, "explicit worker-pool size (overrides -parallel; 0 = serial unless -parallel)")
 	cache := fs.Bool("cache", false, "reuse/store artifacts in the content-addressed cache")
-	cacheDir := fs.String("cache-dir", defaultCacheDir(), "artifact cache location")
+	cacheDir := fs.String("cache-dir", orchestrator.DefaultCacheDir(), "artifact cache location")
 	timeout := fs.Duration("timeout", 0, "per-experiment timeout (0 = none)")
 	jsonl := fs.String("jsonl", "", "stream one JSON line per result to this file ('-' = stdout)")
 	csvDir := fs.String("csv", "", "directory to write CSV artifacts into")
@@ -248,13 +250,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// defaultCacheDir places the artifact cache under the user cache
-// directory, falling back to a dot directory in the CWD.
-func defaultCacheDir() string {
-	if base, err := os.UserCacheDir(); err == nil {
-		return base + "/roadrunner/artifacts"
-	}
-	return ".rrexp-cache"
 }

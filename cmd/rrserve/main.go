@@ -31,11 +31,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
 	"roadrunner"
+	"roadrunner/internal/orchestrator"
 	"roadrunner/internal/serve"
 )
 
@@ -49,7 +49,7 @@ func run() int {
 	queue := flag.Int("queue", 0, "job queue depth (0 = 1024); submissions beyond it get 503")
 	maxBody := flag.Int64("max-body", 0, "request body bound in bytes (0 = 64 MB)")
 	poolTraces := flag.Int("pool-traces", 0, "warm evaluator pools to retain (0 = 8)")
-	cacheDir := flag.String("cache-dir", defaultCacheDir(), "artifact cache location ('' disables the persistent cache)")
+	cacheDir := flag.String("cache-dir", orchestrator.DefaultCacheDir(), "artifact cache location ('' disables the persistent cache)")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "rrserve: unexpected arguments %v\n", flag.Args())
@@ -99,15 +99,4 @@ func run() int {
 		}
 	}
 	return 0
-}
-
-// defaultCacheDir places the artifact cache under the user cache
-// directory, falling back to a dot directory in the CWD — the same
-// location rrexp uses, so a suite run and the server share entries'
-// storage root (their key namespaces are disjoint).
-func defaultCacheDir() string {
-	if base, err := os.UserCacheDir(); err == nil {
-		return filepath.Join(base, "roadrunner", "artifacts")
-	}
-	return ".roadrunner-artifacts"
 }

@@ -33,6 +33,7 @@ import (
 
 	"roadrunner"
 	"roadrunner/internal/cml"
+	"roadrunner/internal/collectives"
 	"roadrunner/internal/fabric"
 	"roadrunner/internal/ib"
 	"roadrunner/internal/isa"
@@ -161,21 +162,19 @@ func run(args []string) int {
 			}
 			return 0
 		}
-		congested := true
-		switch *congestion {
-		case "on":
-		case "off":
-			congested = false
-		default:
-			fmt.Fprintf(os.Stderr, "bad -congestion %q: want on or off\n", *congestion)
+		pol, err := transport.ParsePolicy(*congestion)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "rrsim: %v\n", err)
 			return 2
 		}
-		runColl := roadrunner.RunCollectiveCongestedOn
-		if !congested {
-			runColl = roadrunner.RunCollectiveOn
-		}
 		start := time.Now()
-		res, err := runColl(*topology, roadrunner.CollectiveOp(*coll), *ranks, units.Size(*msg))
+		cfg, err := collectives.DefaultConfigOn(*topology, *ranks)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 2
+		}
+		cfg.Congestion = pol
+		res, err := collectives.Run(cfg, collectives.Op(*coll), units.Size(*msg))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 2

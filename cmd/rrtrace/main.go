@@ -41,11 +41,11 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
 	"roadrunner/internal/cml"
-	"roadrunner/internal/collectives"
 	"roadrunner/internal/fabric"
 	"roadrunner/internal/ib"
 	"roadrunner/internal/placement"
@@ -189,8 +189,8 @@ func optimize(args []string) int {
 	greedyBatch := fs.Int("greedy-batch", 16, "swap candidates per greedy round")
 	annealRounds := fs.Int("anneal-rounds", 4, "simulated-annealing rounds")
 	annealBatch := fs.Int("anneal-batch", 16, "proposals per annealing round")
-	stride := fs.Int("stride", 180, "node stride of the strided baseline")
-	perNode := fs.Int("per-node", 4, "ranks per node of the packed baseline")
+	stride := fs.Int("stride", transport.DefaultStride, "node stride of the strided baseline")
+	perNode := fs.Int("per-node", transport.DefaultPerNode, "ranks per node of the packed baseline")
 	toplinks := fs.Int("toplinks", 5, "contended links of the winner's census to print")
 	mapping := fs.Int("mapping", 0, "print the first N rank→node assignments of the winner")
 	topology := fs.String("topology", "", "fabric topology to optimize on (see rrsim; default: the tapered fat-tree)")
@@ -217,14 +217,10 @@ func optimize(args []string) int {
 		fmt.Fprintf(os.Stderr, "rrtrace optimize: %v\n", err)
 		return 2
 	}
-	var starts []placement.Start
-	for _, name := range placementNames {
-		places, err := place(name, fab, tr.Meta.Ranks, *stride, *perNode, 1)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rrtrace optimize: %v\n", err)
-			return 1
-		}
-		starts = append(starts, placement.Start{Name: name, Places: places})
+	starts, err := placement.Baselines(fab, tr.Meta.Ranks, *stride, *perNode)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rrtrace optimize: %v\n", err)
+		return 1
 	}
 	cfg := placement.Config{
 		Trace: tr,
@@ -309,22 +305,14 @@ func optimize(args []string) int {
 	return 0
 }
 
-// placementNames are the generated rank→node mappings, in the order
-// -placement all replays them and optimize seeds its search.
-var placementNames = []string{"block", "strided", "packed"}
-
 // checkFlags reads the -congestion flag into its transport policy (off
 // is the zero Policy, the uncongested fabric, which keeps no census) and
-// rejects the placement and census flag values the generators would
-// panic on, with one line on stderr.
+// rejects bad placement and census flag values as usage errors, with
+// one line on stderr.
 func checkFlags(cmd, congestion string, stride, perNode, toplinks int) (transport.Policy, bool) {
-	var pol transport.Policy
-	switch congestion {
-	case "on":
-		pol = transport.Congested()
-	case "off":
-	default:
-		fmt.Fprintf(os.Stderr, "rrtrace %s: -congestion must be on or off, got %q\n", cmd, congestion)
+	pol, err := transport.ParsePolicy(congestion)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rrtrace %s: %v\n", cmd, err)
 		return pol, false
 	}
 	switch {
@@ -340,29 +328,6 @@ func checkFlags(cmd, congestion string, stride, perNode, toplinks int) (transpor
 	return pol, false
 }
 
-// place builds the named placement of ranks on fab, or an error when
-// the trace needs more nodes than the fabric has.
-func place(name string, fab *fabric.System, ranks, stride, perNode, core int) ([]transport.Endpoint, error) {
-	nodes := ranks
-	if name == "packed" {
-		nodes = (ranks + perNode - 1) / perNode
-	}
-	if nodes > fab.Nodes() {
-		return nil, fmt.Errorf("%s placement of %d ranks needs %d nodes, the fabric has %d",
-			name, ranks, nodes, fab.Nodes())
-	}
-	var places []collectives.Placement
-	switch name {
-	case "block":
-		places = collectives.BlockPlacement(fab, ranks, core)
-	case "strided":
-		places = collectives.StridedPlacement(fab, ranks, stride, core)
-	case "packed":
-		places = collectives.PackedPlacement(fab, ranks, perNode)
-	}
-	return toEndpoints(places), nil
-}
-
 // topoFabric builds the full-scale fabric for a -topology flag value
 // ("" = the default tapered fat-tree, identical to roadrunner.Fabric()).
 func topoFabric(name string) (*fabric.System, error) {
@@ -372,22 +337,13 @@ func topoFabric(name string) (*fabric.System, error) {
 	return fabric.NewTopology(name)
 }
 
-// toEndpoints converts collective placements to transport endpoints.
-func toEndpoints(places []collectives.Placement) []transport.Endpoint {
-	out := make([]transport.Endpoint, len(places))
-	for i, p := range places {
-		out[i] = transport.Endpoint{Node: p.Node, Core: p.Core}
-	}
-	return out
-}
-
 func replay(args []string) int {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	in := fs.String("i", "", "trace file (required)")
 	placementName := fs.String("placement", "block",
 		"rank→node mapping: block, strided, packed — or all, replaying every mapping as independent runs")
-	stride := fs.Int("stride", 180, "node stride for -placement strided")
-	perNode := fs.Int("per-node", 4, "ranks per node for -placement packed")
+	stride := fs.Int("stride", transport.DefaultStride, "node stride for -placement strided")
+	perNode := fs.Int("per-node", transport.DefaultPerNode, "ranks per node for -placement packed")
 	core := fs.Int("core", 1, "issuing Opteron core for block/strided placements")
 	congestion := fs.String("congestion", "on",
 		"link congestion: on holds wormhole channels on every routed cable; off is the infinite-capacity fabric")
@@ -405,11 +361,9 @@ func replay(args []string) int {
 		return 2
 	}
 	names := []string{*placementName}
-	switch *placementName {
-	case "block", "strided", "packed":
-	case "all":
-		names = placementNames
-	default:
+	if *placementName == "all" {
+		names = transport.PlacementNames
+	} else if !slices.Contains(transport.PlacementNames, *placementName) {
 		fmt.Fprintf(os.Stderr, "rrtrace replay: unknown placement %q\n", *placementName)
 		return 2
 	}
@@ -425,7 +379,7 @@ func replay(args []string) int {
 	}
 	placements := make([][]transport.Endpoint, len(names))
 	for i, name := range names {
-		if placements[i], err = place(name, fab, tr.Meta.Ranks, *stride, *perNode, *core); err != nil {
+		if placements[i], err = transport.NamedPlacement(name, fab, tr.Meta.Ranks, *stride, *perNode, *core); err != nil {
 			fmt.Fprintf(os.Stderr, "rrtrace replay: %v\n", err)
 			return 1
 		}

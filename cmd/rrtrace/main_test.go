@@ -186,3 +186,39 @@ func dropHostLines(s string) string {
 	}
 	return strings.Join(kept, "")
 }
+
+// TestCLIFlow runs the inspect, replay and optimize steps of the
+// capture → replay → optimize flow on the 4×4 capture, the optimize
+// runs at a small search budget: each must exit 0, and a congested
+// replay or an optimize run must print its census, and an optimize run
+// its verified winner.
+func TestCLIFlow(t *testing.T) {
+	tr := smallTrace(t)
+	budget := []string{"-seed", "1", "-greedy-rounds", "2", "-greedy-batch", "6",
+		"-anneal-rounds", "2", "-anneal-batch", "6", "-mapping", "4"}
+	cases := []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"inspect", "-i", tr}, []string{"16 ranks"}},
+		{[]string{"inspect", "-spec"}, []string{"docs/trace-format.md"}},
+		{[]string{"replay", "-i", tr, "-placement", "strided", "-toplinks", "5"}, []string{"census:"}},
+		{[]string{"replay", "-i", tr, "-congestion=off", "-skip-compute"}, []string{" simulated"}},
+		{append([]string{"optimize", "-i", tr}, budget...),
+			[]string{"winner verified", "census:", "first 4 assignments"}},
+		{append([]string{"optimize", "-i", tr, "-surrogate", "-screen-factor", "4", "-anchors", "12"}, budget...),
+			[]string{"surrogate prices", "winner verified", "census:"}},
+	}
+	for _, tc := range cases {
+		code, stdout, stderr := runCLI(t, tc.args...)
+		if code != 0 {
+			t.Errorf("rrtrace %s: exit %d: %s", strings.Join(tc.args, " "), code, stderr)
+			continue
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(stdout, w) {
+				t.Errorf("rrtrace %s: no %q in\n%s", strings.Join(tc.args, " "), w, stdout)
+			}
+		}
+	}
+}

@@ -72,81 +72,13 @@ func Ops() []Op {
 	}
 }
 
-// Placement locates one rank on the machine: the node it runs on and the
-// Opteron core it issues MPI calls from (HCA proximity per Fig. 8).
-type Placement struct {
-	Node fabric.NodeID
-	Core int
-}
-
-// BlockPlacement places ranks on consecutive nodes in global order, one
-// rank per node, all on the given Opteron core. This is the natural
-// MPI rank order of Fig. 10's latency map.
-func BlockPlacement(fab *fabric.System, ranks, core int) []Placement {
-	if ranks > fab.Nodes() {
-		panic(fmt.Sprintf("collectives: %d ranks exceed %d nodes", ranks, fab.Nodes()))
-	}
-	out := make([]Placement, ranks)
-	for i := range out {
-		out[i] = Placement{Node: fabric.FromGlobal(i), Core: core}
-	}
-	return out
-}
-
-// StridedPlacement places rank i on global node (i*stride) mod the node
-// count. HPL's process rows and columns map onto the machine this way: a
-// row of a column-major P×Q grid is ranks {r, r+P, r+2P, ...}, i.e. a
-// stride-P walk across nodes, which spreads one communicator over many
-// CUs.
-func StridedPlacement(fab *fabric.System, ranks, stride, core int) []Placement {
-	if ranks > fab.Nodes() {
-		panic(fmt.Sprintf("collectives: %d ranks exceed %d nodes", ranks, fab.Nodes()))
-	}
-	if stride < 1 {
-		panic("collectives: stride < 1")
-	}
-	n := fab.Nodes()
-	out := make([]Placement, ranks)
-	seen := make(map[int]bool, ranks)
-	g := 0
-	for i := range out {
-		for seen[g%n] {
-			// Stride wrapped onto an occupied node: advance to the next
-			// free one so every rank still gets its own HCA.
-			g++
-		}
-		seen[g%n] = true
-		out[i] = Placement{Node: fabric.FromGlobal(g % n), Core: core}
-		g += stride
-	}
-	return out
-}
-
-// PackedPlacement places perNode ranks on each node, on cores
-// 0..perNode-1, so a communicator mixes near (1, 3) and far (0, 2) HCA
-// cores and shares each node's adapter among its local ranks.
-func PackedPlacement(fab *fabric.System, ranks, perNode int) []Placement {
-	if perNode < 1 || perNode > 4 {
-		panic("collectives: perNode outside 1..4")
-	}
-	if (ranks+perNode-1)/perNode > fab.Nodes() {
-		panic(fmt.Sprintf("collectives: %d ranks at %d/node exceed %d nodes",
-			ranks, perNode, fab.Nodes()))
-	}
-	out := make([]Placement, ranks)
-	for i := range out {
-		out[i] = Placement{Node: fabric.FromGlobal(i / perNode), Core: i % perNode}
-	}
-	return out
-}
-
 // Config describes one collective run: the fabric the ranks live on, the
 // MPI/IB protocol profile, the rank→node mapping, the link congestion
 // policy, and the broadcast root.
 type Config struct {
 	Fabric  *fabric.System
 	Profile ib.Profile
-	Places  []Placement
+	Places  []transport.Endpoint
 	// Congestion selects the transport's link-occupancy model. The zero
 	// value is the infinite-capacity fabric, with no link state and no
 	// census; transport.Congested() makes concurrent flows on one cable
@@ -179,11 +111,11 @@ func DefaultConfigOn(topology string, nodes int) (Config, error) {
 	if err != nil {
 		return Config{}, err
 	}
-	return Config{
-		Fabric:  fab,
-		Profile: ib.OpenMPI(),
-		Places:  BlockPlacement(fab, nodes, 1),
-	}, nil
+	places, err := transport.BlockPlacement(fab, nodes, 1)
+	if err != nil {
+		return Config{}, err
+	}
+	return Config{Fabric: fab, Profile: ib.OpenMPI(), Places: places}, nil
 }
 
 // CongestedConfig is DefaultConfig with the wormhole congestion policy:
@@ -423,7 +355,7 @@ func (w *rank) send() {
 	}
 	fl.dst = w.x.dst
 	fl.msg = arrival{src: w.id, tag: w.x.tag, data: w.x.data}
-	src, dst := transport.Endpoint(c.cfg.Places[w.id]), transport.Endpoint(c.cfg.Places[w.x.dst])
+	src, dst := c.cfg.Places[w.id], c.cfg.Places[w.x.dst]
 	if w.x.size > 0 && src.Node != dst.Node {
 		w.arm()
 		w.pend = c.net.StartTransfer(src, dst, w.x.size, fl.deliverFn, w.stepFn)
@@ -472,14 +404,8 @@ func checkConfig(cfg Config) error {
 	if cfg.Fabric == nil {
 		return fmt.Errorf("collectives: nil fabric")
 	}
-	for r, pl := range cfg.Places {
-		if !cfg.Fabric.Contains(pl.Node) {
-			return fmt.Errorf("collectives: rank %d placed on %v outside the %d-node fabric",
-				r, pl.Node, cfg.Fabric.Nodes())
-		}
-		if pl.Core < 0 || pl.Core > 3 {
-			return fmt.Errorf("collectives: rank %d on core %d (want 0..3)", r, pl.Core)
-		}
+	if err := transport.CheckPlaces(cfg.Fabric, cfg.Places); err != nil {
+		return fmt.Errorf("collectives: %w", err)
 	}
 	return nil
 }

@@ -7,8 +7,18 @@ import (
 
 	"roadrunner/internal/fabric"
 	"roadrunner/internal/ib"
+	"roadrunner/internal/transport"
 	"roadrunner/internal/units"
 )
+
+// mustPlace unwraps a generated placement; the tests ask only for ones
+// that fit their fabric.
+func mustPlace(places []transport.Endpoint, err error) []transport.Endpoint {
+	if err != nil {
+		panic(err)
+	}
+	return places
+}
 
 func testConfig(ranks int) Config {
 	cus := (ranks + 179) / 180
@@ -19,7 +29,7 @@ func testConfig(ranks int) Config {
 	return Config{
 		Fabric:  fab,
 		Profile: ib.OpenMPI(),
-		Places:  BlockPlacement(fab, ranks, 1),
+		Places:  mustPlace(transport.BlockPlacement(fab, ranks, 1)),
 	}
 }
 
@@ -185,7 +195,7 @@ func TestIntraNodeMessagesStayOffTheWire(t *testing.T) {
 	// All 4 ranks on one node: messages take the shared-memory path, so
 	// nothing is charged to the fabric.
 	fab := fabric.NewScaled(1)
-	cfg := Config{Fabric: fab, Profile: ib.OpenMPI(), Places: PackedPlacement(fab, 4, 4)}
+	cfg := Config{Fabric: fab, Profile: ib.OpenMPI(), Places: mustPlace(transport.PackedPlacement(fab, 4, 4))}
 	res, err := Run(cfg, AllgatherRing, 64*units.KB)
 	if err != nil {
 		t.Fatal(err)
@@ -202,8 +212,8 @@ func TestPackedPlacementSharesHCAs(t *testing.T) {
 	// Four ranks per node: the node's HCA serializes concurrent flows, so
 	// a packed alltoall is slower than the same ranks spread one per node.
 	fab := fabric.NewScaled(1)
-	packed := Config{Fabric: fab, Profile: ib.OpenMPI(), Places: PackedPlacement(fab, 16, 4)}
-	spread := Config{Fabric: fab, Profile: ib.OpenMPI(), Places: BlockPlacement(fab, 16, 1)}
+	packed := Config{Fabric: fab, Profile: ib.OpenMPI(), Places: mustPlace(transport.PackedPlacement(fab, 16, 4))}
+	spread := Config{Fabric: fab, Profile: ib.OpenMPI(), Places: mustPlace(transport.BlockPlacement(fab, 16, 1))}
 	rp, err := Run(packed, AlltoallPairwise, 256*units.KB)
 	if err != nil {
 		t.Fatal(err)
@@ -217,31 +227,10 @@ func TestPackedPlacementSharesHCAs(t *testing.T) {
 	}
 }
 
-func TestStridedPlacementSpansCUs(t *testing.T) {
-	fab := fabric.New()
-	places := StridedPlacement(fab, 60, 51, 1)
-	cus := map[int]bool{}
-	nodes := map[fabric.NodeID]bool{}
-	for _, pl := range places {
-		cus[pl.Node.CU] = true
-		if nodes[pl.Node] {
-			t.Fatalf("node %v reused", pl.Node)
-		}
-		nodes[pl.Node] = true
-	}
-	if len(cus) < 17 {
-		t.Errorf("stride-51 row spans %d CUs, want all 17", len(cus))
-	}
-	cfg := Config{Fabric: fab, Profile: ib.OpenMPI(), Places: places}
-	if _, err := Run(cfg, BcastBinomial, 1*units.MB); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestNearCorePlacementFasterThanFar(t *testing.T) {
 	fab := fabric.NewScaled(1)
-	near := Config{Fabric: fab, Profile: ib.OpenMPI(), Places: BlockPlacement(fab, 8, 1)}
-	far := Config{Fabric: fab, Profile: ib.OpenMPI(), Places: BlockPlacement(fab, 8, 0)}
+	near := Config{Fabric: fab, Profile: ib.OpenMPI(), Places: mustPlace(transport.BlockPlacement(fab, 8, 1))}
+	far := Config{Fabric: fab, Profile: ib.OpenMPI(), Places: mustPlace(transport.BlockPlacement(fab, 8, 0))}
 	rn, err := Run(near, BcastBinomial, 1*units.MB)
 	if err != nil {
 		t.Fatal(err)
@@ -307,7 +296,7 @@ func TestBadConfigErrors(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.Places = append([]Placement(nil), cfg.Places...)
+			cfg.Places = append([]transport.Endpoint(nil), cfg.Places...)
 			tc.edit(&cfg)
 			err = e.run(cfg)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {

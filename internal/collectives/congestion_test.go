@@ -21,13 +21,13 @@ import (
 // all runs must still cross links, so the comparison is not vacuous.
 func TestUnqueuedCongestedRunMatchesUncongested(t *testing.T) {
 	fab := fabric.NewScaled(3)
-	placements := map[string][]Placement{
-		"block":   BlockPlacement(fab, 48, 1),
-		"strided": StridedPlacement(fab, 40, 23, 0),
-		"packed":  PackedPlacement(fab, 96, 4),
+	placements := map[string][]transport.Endpoint{
+		"block":   mustPlace(transport.BlockPlacement(fab, 48, 1)),
+		"strided": mustPlace(transport.StridedPlacement(fab, 40, 23, 0)),
+		"packed":  mustPlace(transport.PackedPlacement(fab, 96, 4)),
 	}
 	for _, n := range []int{2, 8, 13, 64} {
-		placements[fmt.Sprintf("block%d", n)] = BlockPlacement(fab, n, 1)
+		placements[fmt.Sprintf("block%d", n)] = mustPlace(transport.BlockPlacement(fab, n, 1))
 	}
 	runs, unqueued := 0, 0
 	for name, places := range placements {

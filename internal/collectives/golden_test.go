@@ -97,23 +97,23 @@ func TestGoldenCollectiveOutputs(t *testing.T) {
 				for _, n := range []int{1, 2, 3, 5, 8, 13, 64} {
 					for _, size := range sizes {
 						cfg := base
-						cfg.Places = BlockPlacement(fab, n, 1)
+						cfg.Places = mustPlace(transport.BlockPlacement(fab, n, 1))
 						run(fmt.Sprintf("%s %s block %s n=%d size=%d", topo, p.name, op, n, int64(size)), cfg, op, size)
 					}
 				}
 				for _, n := range []int{13, 64} {
 					for _, size := range []units.Size{4 * units.KB, 64 * units.KB} {
 						cfg := base
-						cfg.Places = PackedPlacement(fab, n, 4)
+						cfg.Places = mustPlace(transport.PackedPlacement(fab, n, 4))
 						run(fmt.Sprintf("%s %s packed4 %s n=%d size=%d", topo, p.name, op, n, int64(size)), cfg, op, size)
-						cfg.Places = StridedPlacement(fab, n, 23, 0)
+						cfg.Places = mustPlace(transport.StridedPlacement(fab, n, 23, 0))
 						run(fmt.Sprintf("%s %s strided23 %s n=%d size=%d", topo, p.name, op, n, int64(size)), cfg, op, size)
 					}
 				}
 			}
 			for _, size := range sizes {
 				cfg := base
-				cfg.Places = PackedPlacement(fab, 13, 4)
+				cfg.Places = mustPlace(transport.PackedPlacement(fab, 13, 4))
 				cfg.Root = 5
 				run(fmt.Sprintf("%s %s packed4 root=5 %s n=13 size=%d", topo, p.name, BcastBinomial, int64(size)), cfg, BcastBinomial, size)
 			}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"roadrunner/internal/report"
 	"roadrunner/internal/scenario"
 	"roadrunner/internal/surrogate"
 )
@@ -16,14 +17,16 @@ import (
 // times), asserted >= 0.9 per topology. The same artifact runs the
 // two-tier search head-to-head against the pure-DES search at the same
 // per-round DES budget and checks the DES-confirmed winner is never
-// worse, and that the surrogate prices candidates at least
-// SurrogateSpeedFloor times faster than the DES replays them (the
-// wall-clock measurement itself never enters the artifact: archived
-// output must be byte-identical across machines and worker counts).
+// worse. Its host check, surrogateSpeedFloor, asserts that the
+// surrogate prices candidates at least SurrogateSpeedFloor times faster
+// than the DES replays them (the wall-clock measurement itself never
+// enters the artifact: archived output must be byte-identical across
+// machines and worker counts).
 func init() {
 	register("surrogate-xval", "Analytic surrogate cross-validation vs the DES", "§II.C / §V.A model",
 		"Calibrates the analytic placement-pricing surrogate on DES anchors per topology, asserts holdout Spearman >= 0.9 and the screening speed floor, and races the two-tier search against pure DES",
 		runSurrogateXVal)
+	registry[len(registry)-1].Host = surrogateSpeedFloor
 }
 
 func runSurrogateXVal() *Artifact {
@@ -89,23 +92,27 @@ func runSurrogateXVal() *Artifact {
 	a.Checks.True("surrogate screened a wider pool than the DES replayed",
 		tt.TwoTierSurrogateEvals > tt.TwoTierDESEvals,
 		fmt.Sprintf("%d priced vs %d replayed", tt.TwoTierSurrogateEvals, tt.TwoTierDESEvals))
+	return a
+}
 
-	// The speed floor: measured at run time on this host, so it is a host
-	// check, asserted as a boolean only — wall-clock numbers must never
-	// enter the archived artifact.
+// surrogateSpeedFloor is surrogate-xval's host check, the speed floor:
+// measured on this host, so it is asserted as a boolean only —
+// wall-clock numbers must never enter the archived artifact.
+func surrogateSpeedFloor() report.Checks {
+	var c report.Checks
 	tr, _, err := scenario.CaptureSweep3DTrace()
 	if err != nil {
-		a.Checks.True("speed measurement runs", false, err.Error())
-		return a
+		c.True("speed measurement runs", false, err.Error())
+		return c
 	}
 	sp, err := scenario.MeasureSurrogateSpeed(tr)
 	if err != nil {
-		a.Checks.True("speed measurement runs", false, err.Error())
-		return a
+		c.True("speed measurement runs", false, err.Error())
+		return c
 	}
-	a.Host.True(
+	c.True(
 		fmt.Sprintf("surrogate prices >= %.0fx faster than the pooled DES evaluates", scenario.SurrogateSpeedFloor),
 		sp.Speedup >= scenario.SurrogateSpeedFloor,
 		"wall-clock measured at run time, not archived; see the Surrogate* benches and docs/surrogate.md for numbers")
-	return a
+	return c
 }

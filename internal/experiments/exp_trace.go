@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"roadrunner/internal/scenario"
+	"roadrunner/internal/transport"
 )
 
 // The trace-replay experiment runs the first real application phase over
@@ -64,7 +65,7 @@ func runTraceReplay() *Artifact {
 		return a
 	}
 
-	th := newTableHelper(fmt.Sprintf("Hottest links, strided placement (stride %d, congested)", scenario.TraceReplayStride),
+	th := newTableHelper(fmt.Sprintf("Hottest links, strided placement (stride %d, congested)", transport.DefaultStride),
 		"link", "msgs", "wait", "utilization")
 	for _, u := range strided.Top {
 		th.AddRow(u.Link.String(), u.Messages, u.Wait.String(), fmt.Sprintf("%.1f%%", 100*u.Utilization))

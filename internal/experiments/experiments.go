@@ -21,11 +21,11 @@ type Artifact struct {
 	Figures  []*report.Figure
 	Checks   report.Checks
 	// Host holds checks on the machine the artifact was computed on —
-	// wall-clock speed floors — rather than on the calibrated model. Two
-	// runs of the same inputs may disagree on them, so the artifact
-	// cache never stores them, byte comparisons of artifacts read Body,
-	// which leaves them out, and the result stream's check counts
-	// exclude them.
+	// wall-clock speed floors — rather than on the calibrated model: the
+	// checks of its experiment's Host hook. Two runs of the same inputs
+	// may disagree on them, so the artifact cache never stores them,
+	// byte comparisons of artifacts read Body, which leaves them out,
+	// and the result stream's check counts exclude them.
 	Host report.Checks `json:"-"`
 }
 
@@ -73,6 +73,12 @@ type Experiment struct {
 	// instead of keeping their own ID lists.
 	Expensive bool
 	Run       func() *Artifact
+	// Host, when set, measures the experiment's host checks: wall-clock
+	// floors timed on this machine. It is separate from Run so that a
+	// suite can call it after every run has finished, one hook at a
+	// time, when no other experiment loads the machine, and for cached
+	// artifacts too; its checks go into Artifact.Host.
+	Host func() report.Checks
 }
 
 var registry []Experiment

@@ -45,6 +45,9 @@ func TestAllExperimentsPass(t *testing.T) {
 				t.Skip("expensive experiment skipped under -short")
 			}
 			a := e.Run()
+			if e.Host != nil {
+				a.Host = e.Host()
+			}
 			if a.ID != e.ID {
 				t.Errorf("artifact ID %q != %q", a.ID, e.ID)
 			}

@@ -32,6 +32,17 @@ type Cache struct {
 	hits, misses atomic.Int64
 }
 
+// DefaultCacheDir is where rrexp and rrserve keep their artifacts unless
+// told otherwise: under the user cache directory, or in a dot directory
+// of the working directory when there is none. The two commands share
+// the root; their key namespaces are disjoint.
+func DefaultCacheDir() string {
+	if base, err := os.UserCacheDir(); err == nil {
+		return filepath.Join(base, "roadrunner", "artifacts")
+	}
+	return ".rrexp-cache"
+}
+
 // OpenCache opens (creating if needed) a cache rooted at dir.
 func OpenCache(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {

@@ -75,6 +75,11 @@ type Result struct {
 // per-experiment failures are reported on the individual results. A
 // panic inside Options.OnResult is re-raised on the caller's goroutine
 // once the running experiments return.
+//
+// Host hooks run after the whole batch, one at a time and in suite
+// order, for fresh and cached artifacts alike: a wall-clock floor then
+// times this machine while no experiment loads it. OnResult has seen
+// every result by then, so the stream never carries host checks.
 func Run(ctx context.Context, exps []experiments.Experiment, opts Options) ([]*Result, error) {
 	results := make([]*Result, len(exps))
 	var (
@@ -95,6 +100,11 @@ func Run(ctx context.Context, exps []experiments.Experiment, opts Options) ([]*R
 		return nil
 	}); err != nil {
 		panic(fmt.Sprintf("orchestrator: %v", err))
+	}
+	for i, r := range results {
+		if exps[i].Host != nil && r.Artifact != nil && ctx.Err() == nil {
+			r.Artifact.Host = exps[i].Host()
+		}
 	}
 	return results, ctx.Err()
 }

@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -189,6 +190,60 @@ func TestCacheNeverStoresHostChecks(t *testing.T) {
 	}
 	if len(got.Host.Items) != 0 || got.Body() != art.Body() {
 		t.Errorf("cached artifact %q with host %v, want body %q and no host checks", got.Body(), got.Host, art.Body())
+	}
+}
+
+// TestHostHooksRunAfterTheBatch: host hooks run once every experiment
+// has finished and the stream has seen every result, one at a time in
+// suite order, and on cache hits as well as on fresh runs.
+func TestHostHooksRunAfterTheBatch(t *testing.T) {
+	var (
+		mu  sync.Mutex
+		log []string
+	)
+	note := func(s string) {
+		mu.Lock()
+		defer mu.Unlock()
+		log = append(log, s)
+	}
+	exp := func(id string, d time.Duration) experiments.Experiment {
+		return experiments.Experiment{ID: id, Title: id, PaperRef: "test",
+			Run: func() *experiments.Artifact {
+				time.Sleep(d)
+				note("run " + id)
+				a := &experiments.Artifact{ID: id}
+				a.Checks.True("model", true, "")
+				return a
+			},
+			Host: func() report.Checks {
+				note("host " + id)
+				var c report.Checks
+				c.True("fast enough", true, "wall clock")
+				return c
+			}}
+	}
+	exps := []experiments.Experiment{exp("slow", 50*time.Millisecond), exp("fast", 0)}
+	cache, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pass := range []string{"cold", "warm"} {
+		log = nil
+		results, err := Run(context.Background(), exps, Options{Workers: 2, Cache: cache,
+			OnResult: func(r *Result) { note("emit " + r.ID) }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range results {
+			if r.CacheHit != (pass == "warm") || r.Artifact == nil || len(r.Artifact.Host.Items) != 1 {
+				t.Errorf("%s %s: cache hit %v, artifact %+v; want one host check", pass, r.ID, r.CacheHit, r.Artifact)
+			}
+		}
+		n := len(log)
+		if n < 2 || !slices.Equal(log[n-2:], []string{"host slow", "host fast"}) ||
+			slices.ContainsFunc(log[:n-2], func(s string) bool { return strings.HasPrefix(s, "host ") }) {
+			t.Errorf("%s run: calls %v, want both hosts last, in suite order", pass, log)
+		}
 	}
 }
 

@@ -60,6 +60,22 @@ type Start struct {
 	Places []transport.Endpoint
 }
 
+// Baselines returns the block, strided and packed mappings of a
+// ranks-wide trace on fab as search starts, in transport.PlacementNames
+// order: block and strided on core 1, strided stride nodes apart and
+// packed perNode ranks to a node.
+func Baselines(fab *fabric.System, ranks, stride, perNode int) ([]Start, error) {
+	starts := make([]Start, len(transport.PlacementNames))
+	for i, name := range transport.PlacementNames {
+		places, err := transport.NamedPlacement(name, fab, ranks, stride, perNode, 1)
+		if err != nil {
+			return nil, err
+		}
+		starts[i] = Start{Name: name, Places: places}
+	}
+	return starts, nil
+}
+
 // Config parameterizes one optimization run.
 type Config struct {
 	// Trace is the schedule being placed; Replay carries the fabric,

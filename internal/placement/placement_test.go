@@ -337,3 +337,26 @@ func TestOptimizeConfigErrors(t *testing.T) {
 		})
 	}
 }
+
+// TestBaselines: the three search starts come back named and ordered as
+// transport.PlacementNames, each equal to its generator's mapping, and
+// an input a generator rejects is an error.
+func TestBaselines(t *testing.T) {
+	fab := fabric.NewScaled(2)
+	starts, err := Baselines(fab, 40, 7, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block, _ := transport.BlockPlacement(fab, 40, 1)
+	strided, _ := transport.StridedPlacement(fab, 40, 7, 1)
+	packed, _ := transport.PackedPlacement(fab, 40, 2)
+	want := []Start{{"block", block}, {"strided", strided}, {"packed", packed}}
+	if !reflect.DeepEqual(starts, want) {
+		t.Errorf("baselines %v, want %v", starts, want)
+	}
+	for _, bad := range [][3]int{{361, 7, 2}, {40, 0, 2}, {40, 7, 5}} {
+		if _, err := Baselines(fab, bad[0], bad[1], bad[2]); err == nil {
+			t.Errorf("ranks %d stride %d per-node %d accepted", bad[0], bad[1], bad[2])
+		}
+	}
+}

@@ -82,13 +82,9 @@ func PlaceOptimize() (*PlaceOptimizeReport, error) {
 // (or loaded) trace.
 func PlaceOptimizeTrace(tr *trace.Trace) (*PlaceOptimizeReport, error) {
 	fab := newFabric()
-	starts := make([]placement.Start, 0, len(TraceReplayPlacementNames))
-	for _, name := range TraceReplayPlacementNames {
-		places, err := traceReplayPlaces(name, fab, tr.Meta.Ranks)
-		if err != nil {
-			return nil, err
-		}
-		starts = append(starts, placement.Start{Name: name, Places: places})
+	starts, err := placement.Baselines(fab, tr.Meta.Ranks, transport.DefaultStride, transport.DefaultPerNode)
+	if err != nil {
+		return nil, err
 	}
 	cfg := placeOptimizeBudget
 	cfg.Trace = tr

@@ -15,6 +15,7 @@ import (
 	"roadrunner/internal/ib"
 	"roadrunner/internal/linpack"
 	"roadrunner/internal/machine"
+	"roadrunner/internal/transport"
 	"roadrunner/internal/units"
 )
 
@@ -204,11 +205,11 @@ func PanelBroadcast() (*PanelBroadcastResult, error) {
 	spec := linpack.RoadrunnerPanelBroadcast()
 	fab := newFabric()
 	prof := ib.OpenMPI()
-	cfg := collectives.Config{
-		Fabric:  fab,
-		Profile: prof,
-		Places:  collectives.StridedPlacement(fab, spec.GridCols, spec.RowStride(), 1),
+	places, err := transport.StridedPlacement(fab, spec.GridCols, spec.RowStride(), 1)
+	if err != nil {
+		return nil, fmt.Errorf("scenario panel-broadcast: %w", err)
 	}
+	cfg := collectives.Config{Fabric: fab, Profile: prof, Places: places}
 	res, err := collectives.Run(cfg, collectives.BcastBinomial, spec.PanelBytes())
 	if err != nil {
 		return nil, fmt.Errorf("scenario panel-broadcast: %w", err)

@@ -160,7 +160,7 @@ func SurrogateXValTrace(tr *trace.Trace) (*SurrogateXValReport, error) {
 func surrogateXValOn(tr *trace.Trace, fab *fabric.System) (*SurrogateXValPoint, error) {
 	bases := make([][]transport.Endpoint, 0, len(TraceReplayPlacementNames))
 	for _, name := range TraceReplayPlacementNames {
-		places, err := traceReplayPlaces(name, fab, tr.Meta.Ranks)
+		places, err := TraceReplayPlaces(name, fab, tr.Meta.Ranks)
 		if err != nil {
 			return nil, err
 		}
@@ -256,13 +256,9 @@ func surrogateTwoTier(tr *trace.Trace) (*SurrogateTwoTier, error) {
 	if err != nil {
 		return nil, err
 	}
-	starts := make([]placement.Start, 0, len(TraceReplayPlacementNames))
-	for _, name := range TraceReplayPlacementNames {
-		places, err := traceReplayPlaces(name, fab, tr.Meta.Ranks)
-		if err != nil {
-			return nil, err
-		}
-		starts = append(starts, placement.Start{Name: name, Places: places})
+	starts, err := placement.Baselines(fab, tr.Meta.Ranks, transport.DefaultStride, transport.DefaultPerNode)
+	if err != nil {
+		return nil, err
 	}
 	cfg := surrogateTwoTierBudget
 	cfg.Trace = tr
@@ -348,7 +344,7 @@ func MeasureSurrogateSpeed(tr *trace.Trace) (*SurrogateSpeed, error) {
 		return nil, err
 	}
 	cfg := surrogateXValConfig(fab)
-	places, err := traceReplayPlaces("strided", fab, tr.Meta.Ranks)
+	places, err := TraceReplayPlaces("strided", fab, tr.Meta.Ranks)
 	if err != nil {
 		return nil, err
 	}

@@ -192,7 +192,7 @@ func TopoCompare() (*TopoCompareReport, error) {
 		}
 		fabs[topo] = fab
 		for _, name := range TopoComparePlacementNames {
-			places, err := traceReplayPlaces(name, fab, tr.Meta.Ranks)
+			places, err := TraceReplayPlaces(name, fab, tr.Meta.Ranks)
 			if err != nil {
 				return nil, err
 			}

@@ -46,12 +46,3 @@ func newFabric() *fabric.System {
 	}
 	return fab
 }
-
-// newFabricScaled is newFabric at the given CU count.
-func newFabricScaled(cus int) *fabric.System {
-	fab, err := fabric.NewTopologyScaled(TopologyName(), cus)
-	if err != nil {
-		panic(err)
-	}
-	return fab
-}

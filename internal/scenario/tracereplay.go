@@ -5,7 +5,6 @@ import (
 	"runtime"
 
 	"roadrunner/internal/cml"
-	"roadrunner/internal/collectives"
 	"roadrunner/internal/fabric"
 	"roadrunner/internal/ib"
 	"roadrunner/internal/sweep3d"
@@ -38,43 +37,15 @@ var TraceReplayGrid = sweep3d.Config{I: 5, J: 5, K: 40, MK: 10, Angles: 6}
 
 // TraceReplayPlacementNames are the rank→node mappings the sweep
 // replays under, in sweep order.
-var TraceReplayPlacementNames = []string{"block", "strided", "packed"}
+var TraceReplayPlacementNames = transport.PlacementNames
 
-// TraceReplayStride is the strided placement's step: one full CU, so
-// consecutive ranks land in consecutive CUs and every boundary exchange
-// crosses the inter-CU tier.
-const TraceReplayStride = 180
-
-// TraceReplayPerNode is the packed placement's rank density: all four
-// Opteron cores of a node host ranks, so x-neighbors in the wavefront
-// often share a node (and its HCA).
-const TraceReplayPerNode = 4
-
-// traceReplayPlaces builds one named placement over the fabric.
 // TraceReplayPlaces builds one of the standard replay placements —
-// "block", "strided" or "packed" — for a ranks-wide trace; the CLIs'
-// batch replays reuse the scenario's exact mappings.
+// "block", "strided" or "packed" — for a ranks-wide trace, with the
+// transport's default stride (one rank per CU) and density (four ranks
+// per node) and block and strided ranks on core 1; the CLIs' batch
+// replays reuse the scenario's exact mappings.
 func TraceReplayPlaces(name string, fab *fabric.System, ranks int) ([]transport.Endpoint, error) {
-	return traceReplayPlaces(name, fab, ranks)
-}
-
-func traceReplayPlaces(name string, fab *fabric.System, ranks int) ([]transport.Endpoint, error) {
-	var places []collectives.Placement
-	switch name {
-	case "block":
-		places = collectives.BlockPlacement(fab, ranks, 1)
-	case "strided":
-		places = collectives.StridedPlacement(fab, ranks, TraceReplayStride, 1)
-	case "packed":
-		places = collectives.PackedPlacement(fab, ranks, TraceReplayPerNode)
-	default:
-		return nil, fmt.Errorf("scenario trace-replay: unknown placement %q", name)
-	}
-	out := make([]transport.Endpoint, len(places))
-	for i, p := range places {
-		out[i] = transport.Endpoint{Node: p.Node, Core: p.Core}
-	}
-	return out, nil
+	return transport.NamedPlacement(name, fab, ranks, transport.DefaultStride, transport.DefaultPerNode, 1)
 }
 
 // TraceReplayPoint is one placement's measurement: the captured
@@ -167,7 +138,7 @@ func ReplayUnderPlacements(tr *trace.Trace, captureIteration units.Time) (*Trace
 	fab := newFabric()
 	placements := make([][]transport.Endpoint, len(TraceReplayPlacementNames))
 	for i, name := range TraceReplayPlacementNames {
-		places, err := traceReplayPlaces(name, fab, tr.Meta.Ranks)
+		places, err := TraceReplayPlaces(name, fab, tr.Meta.Ranks)
 		if err != nil {
 			return nil, err
 		}

@@ -230,8 +230,8 @@ func TestServeJobLifecycle(t *testing.T) {
 	// A job parked in the registry but not finished answers 409 on its
 	// result endpoint.
 	parked := newJob("rp-parked", "replay", "k", "", nil)
-	if _, aerr := s.register(parked); aerr != nil {
-		t.Fatalf("register: %v", aerr)
+	if _, _, aerr := s.enqueue(parked); aerr != nil {
+		t.Fatalf("enqueue: %v", aerr)
 	}
 	if rec := do(t, s, http.MethodGet, "/v1/jobs/rp-parked/result", nil); rec.Code != http.StatusConflict {
 		t.Errorf("queued job result: %d, want 409", rec.Code)
@@ -358,10 +358,9 @@ func TestServeWorkerPanicFailsJob(t *testing.T) {
 	defer s.Close()
 
 	job := newJob("rp-panic", "replay", "k", "", func() ([]byte, error) { panic("engine blew up") })
-	if _, aerr := s.register(job); aerr != nil {
-		t.Fatalf("register: %v", aerr)
+	if _, _, aerr := s.enqueue(job); aerr != nil {
+		t.Fatalf("enqueue: %v", aerr)
 	}
-	s.queue <- job
 	deadline := time.Now().Add(10 * time.Second)
 	for !job.settled() {
 		if time.Now().After(deadline) {
@@ -490,10 +489,9 @@ func TestSettledJobDropsWork(t *testing.T) {
 	}
 
 	failed := newJob("rp-fail", "replay", "k", "", func() ([]byte, error) { return nil, fmt.Errorf("no") })
-	if _, aerr := s.register(failed); aerr != nil {
-		t.Fatalf("register: %v", aerr)
+	if _, _, aerr := s.enqueue(failed); aerr != nil {
+		t.Fatalf("enqueue: %v", aerr)
 	}
-	s.queue <- failed
 	deadline := time.Now().Add(10 * time.Second)
 	for !failed.settled() {
 		if time.Now().After(deadline) {

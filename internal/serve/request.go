@@ -61,79 +61,47 @@ func (p *placementSpec) endpoints(fab *fabric.System, ranks int) ([]transport.En
 	if core < 0 || core > 3 {
 		return nil, badRequest("placement core %d outside 0..3", core)
 	}
-	kind := p.Kind
-	if kind == "" {
-		kind = "block"
-	}
-	switch kind {
-	case "block":
-		if ranks > fab.Nodes() {
-			return nil, badRequest("block placement needs %d nodes, fabric has %d", ranks, fab.Nodes())
-		}
-		return toEndpoints(collectives.BlockPlacement(fab, ranks, core)), nil
-	case "strided":
-		stride := p.Stride
-		if stride == 0 {
-			stride = 180
-		}
-		if stride < 1 {
-			return nil, badRequest("placement stride %d below 1", stride)
-		}
-		if ranks > fab.Nodes() {
-			return nil, badRequest("strided placement needs %d nodes, fabric has %d", ranks, fab.Nodes())
-		}
-		return toEndpoints(collectives.StridedPlacement(fab, ranks, stride, core)), nil
-	case "packed":
-		perNode := p.PerNode
-		if perNode == 0 {
-			perNode = 4
-		}
-		if perNode < 1 || perNode > 4 {
-			return nil, badRequest("placement per_node %d outside 1..4", perNode)
-		}
-		if nodes := (ranks + perNode - 1) / perNode; nodes > fab.Nodes() {
-			return nil, badRequest("packed placement of %d ranks at %d/node needs %d nodes, fabric has %d",
-				ranks, perNode, nodes, fab.Nodes())
-		}
-		return toEndpoints(collectives.PackedPlacement(fab, ranks, perNode)), nil
-	case "explicit":
+	if p.Kind == "explicit" {
 		if len(p.Places) != ranks {
 			return nil, badRequest("explicit placement lists %d ranks, trace has %d", len(p.Places), ranks)
 		}
 		out := make([]transport.Endpoint, ranks)
 		for i, e := range p.Places {
-			if !fab.Contains(fabric.NodeID{CU: e.CU, Node: e.Node}) {
-				return nil, badRequest("rank %d placed at cu %d node %d outside the %d-node fabric",
-					i, e.CU, e.Node, fab.Nodes())
-			}
-			if e.Core < 0 || e.Core > 3 {
-				return nil, badRequest("rank %d on core %d (want 0..3)", i, e.Core)
-			}
 			out[i] = transport.Endpoint{Node: fabric.NodeID{CU: e.CU, Node: e.Node}, Core: e.Core}
+		}
+		if err := transport.CheckPlaces(fab, out); err != nil {
+			return nil, badRequest("explicit placement: %v", err)
 		}
 		return out, nil
 	}
-	return nil, badRequest("unknown placement kind %q (want block, strided, packed or explicit)", kind)
-}
-
-// toEndpoints converts collective placements to transport endpoints.
-func toEndpoints(places []collectives.Placement) []transport.Endpoint {
-	out := make([]transport.Endpoint, len(places))
-	for i, p := range places {
-		out[i] = transport.Endpoint{Node: p.Node, Core: p.Core}
+	kind, stride, perNode := p.Kind, p.Stride, p.PerNode
+	if kind == "" {
+		kind = "block"
 	}
-	return out
+	if stride == 0 {
+		stride = transport.DefaultStride
+	}
+	if perNode == 0 {
+		perNode = transport.DefaultPerNode
+	}
+	places, err := transport.NamedPlacement(kind, fab, ranks, stride, perNode, core)
+	if err != nil {
+		return nil, badRequest("%v", err)
+	}
+	return places, nil
 }
 
-// policyFor maps the wire congestion field to a transport policy.
+// policyFor maps the wire congestion field to a transport policy; an
+// absent field means on.
 func policyFor(congestion string) (transport.Policy, *apiError) {
-	switch congestion {
-	case "", "on":
-		return transport.Congested(), nil
-	case "off":
-		return transport.Policy{}, nil
+	if congestion == "" {
+		congestion = "on"
 	}
-	return transport.Policy{}, badRequest("congestion must be \"on\" or \"off\", got %q", congestion)
+	pol, err := transport.ParsePolicy(congestion)
+	if err != nil {
+		return pol, badRequest("%v", err)
+	}
+	return pol, nil
 }
 
 // decodeStrict unmarshals JSON rejecting unknown fields, so schema
@@ -272,26 +240,20 @@ func (s *Server) parseOptimize(body []byte) (func() ([]byte, error), *apiError) 
 		req.AnnealRounds < 0 || req.AnnealBatch < 0 {
 		return nil, badRequest("search knobs must be non-negative")
 	}
-	stride := req.Stride
+	stride, perNode := req.Stride, req.PerNode
 	if stride == 0 {
-		stride = 180
+		stride = transport.DefaultStride
 	}
-	if stride < 1 {
-		return nil, badRequest("stride %d below 1", stride)
-	}
-	perNode := req.PerNode
 	if perNode == 0 {
-		perNode = 4
+		perNode = transport.DefaultPerNode
 	}
-	if perNode < 1 || perNode > 4 {
-		return nil, badRequest("per_node %d outside 1..4", perNode)
+	starts, err := placement.Baselines(s.fab, tr.Meta.Ranks, stride, perNode)
+	if err != nil {
+		return nil, badRequest("%v", err)
 	}
 	policy, aerr := policyFor(req.Congestion)
 	if aerr != nil {
 		return nil, aerr
-	}
-	if tr.Meta.Ranks > s.fab.Nodes() {
-		return nil, badRequest("trace spans %d ranks, fabric has %d nodes", tr.Meta.Ranks, s.fab.Nodes())
 	}
 	// An optimize job searches on one worker: it saturates one request
 	// worker, keeping the shards independent, and placement.Optimize's
@@ -304,11 +266,7 @@ func (s *Server) parseOptimize(body []byte) (func() ([]byte, error), *apiError) 
 			Policy:      policy,
 			SkipCompute: !req.FullSchedule,
 		},
-		Starts: []placement.Start{
-			{Name: "block", Places: toEndpoints(collectives.BlockPlacement(s.fab, tr.Meta.Ranks, 1))},
-			{Name: "strided", Places: toEndpoints(collectives.StridedPlacement(s.fab, tr.Meta.Ranks, stride, 1))},
-			{Name: "packed", Places: toEndpoints(collectives.PackedPlacement(s.fab, tr.Meta.Ranks, perNode))},
-		},
+		Starts:         starts,
 		Seed:           req.Seed,
 		Workers:        1,
 		GreedyRounds:   req.GreedyRounds,
@@ -355,28 +313,21 @@ func (s *Server) parseCollective(body []byte) (func() ([]byte, error), *apiError
 	if req.SizeBytes < 0 {
 		return nil, badRequest("size_bytes %d is negative", req.SizeBytes)
 	}
-	congested := true
-	switch req.Congestion {
-	case "", "on":
-	case "off":
-		congested = false
-	default:
-		return nil, badRequest("congestion must be \"on\" or \"off\", got %q", req.Congestion)
+	policy, aerr := policyFor(req.Congestion)
+	if aerr != nil {
+		return nil, aerr
 	}
 	// Validate the communicator now so a bad node count is a 400 at
 	// submission, not a failed job.
-	mk := collectives.DefaultConfig
-	if congested {
-		mk = collectives.CongestedConfig
-	}
-	if _, err := mk(req.Nodes); err != nil {
+	if _, err := collectives.DefaultConfig(req.Nodes); err != nil {
 		return nil, badRequest("%v", err)
 	}
 	return func() ([]byte, error) {
-		cfg, err := mk(req.Nodes)
+		cfg, err := collectives.DefaultConfig(req.Nodes)
 		if err != nil {
 			return nil, err
 		}
+		cfg.Congestion = policy
 		res, err := collectives.Run(cfg, op, units.Size(req.SizeBytes))
 		if err != nil {
 			return nil, err

@@ -277,23 +277,6 @@ func (s *Server) cacheKey(kind string, body []byte) string {
 	return s.opts.Cache.RawKey("serve/"+kind, body)
 }
 
-// register inserts a job, evicting the oldest finished jobs when the
-// registry is full. If a concurrent identical submission won the race,
-// the existing job is returned instead of the caller's.
-func (s *Server) register(job *Job) (*Job, *apiError) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if existing, ok := s.jobs[job.ID]; ok {
-		return existing, nil
-	}
-	if aerr := s.makeRoomLocked(); aerr != nil {
-		return nil, aerr
-	}
-	s.jobs[job.ID] = job
-	s.order = append(s.order, job.ID)
-	return job, nil
-}
-
 // makeRoomLocked evicts the oldest finished jobs when the registry is
 // full, answering registry_full when nothing is evictable. Caller holds
 // s.mu.

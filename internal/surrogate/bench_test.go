@@ -24,7 +24,7 @@ func benchModel(b *testing.B) (*surrogate.Model, []transport.Endpoint) {
 	}
 	b.Cleanup(m.Close)
 	// The congested candidate: everything strided across the fabric.
-	return m, basePlacements(fab, tr.Meta.Ranks)[1]
+	return m, basePlacements(b, fab, tr.Meta.Ranks)[1]
 }
 
 // BenchmarkSurrogatePrice is one warm-cache pricing of a 64-rank

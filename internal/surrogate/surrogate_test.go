@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"roadrunner/internal/cml"
-	"roadrunner/internal/collectives"
 	"roadrunner/internal/fabric"
 	"roadrunner/internal/ib"
 	"roadrunner/internal/surrogate"
@@ -34,23 +33,19 @@ func testTrace(t testing.TB) *trace.Trace {
 	return tr
 }
 
-// endpoints converts a collectives placement to transport endpoints.
-func endpoints(pl []collectives.Placement) []transport.Endpoint {
-	out := make([]transport.Endpoint, len(pl))
-	for i, p := range pl {
-		out[i] = transport.Endpoint{Node: p.Node, Core: p.Core}
-	}
-	return out
-}
-
 // basePlacements returns the three named baselines of the trace-replay
 // sweep: block, one-rank-per-CU strided, and packed four-per-node.
-func basePlacements(fab *fabric.System, ranks int) [][]transport.Endpoint {
-	return [][]transport.Endpoint{
-		endpoints(collectives.BlockPlacement(fab, ranks, 1)),
-		endpoints(collectives.StridedPlacement(fab, ranks, 180, 1)),
-		endpoints(collectives.PackedPlacement(fab, ranks, 4)),
+func basePlacements(t testing.TB, fab *fabric.System, ranks int) [][]transport.Endpoint {
+	t.Helper()
+	var out [][]transport.Endpoint
+	for _, name := range transport.PlacementNames {
+		places, err := transport.NamedPlacement(name, fab, ranks, transport.DefaultStride, transport.DefaultPerNode, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, places)
 	}
+	return out
 }
 
 // perturb returns base with `swaps` seeded rank swaps applied — the
@@ -78,7 +73,7 @@ func TestPriceDeterministicAcrossClonesAndCalls(t *testing.T) {
 	}
 	defer m.Close()
 
-	bases := basePlacements(fab, tr.Meta.Ranks)
+	bases := basePlacements(t, fab, tr.Meta.Ranks)
 	var cands [][]transport.Endpoint
 	for _, b := range bases {
 		cands = append(cands, b)
@@ -118,7 +113,7 @@ func TestPriceSpreadsCandidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	bases := basePlacements(fab, tr.Meta.Ranks)
+	bases := basePlacements(t, fab, tr.Meta.Ranks)
 	block, strided, packed := m.Price(bases[0]), m.Price(bases[1]), m.Price(bases[2])
 	if !(packed < block) || !(block < strided) {
 		t.Errorf("uncalibrated ordering: packed %v, block %v, strided %v — want packed < block < strided",
@@ -156,7 +151,7 @@ func TestCalibratedSpearmanVsDES(t *testing.T) {
 	}
 	defer m.Close()
 
-	bases := basePlacements(fab, tr.Meta.Ranks)
+	bases := basePlacements(t, fab, tr.Meta.Ranks)
 	var anchors [][]transport.Endpoint
 	anchors = append(anchors, bases...)
 	for s := int64(1); s <= 9; s++ {
@@ -196,7 +191,7 @@ func TestCalibrateRejectsBadInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	b := basePlacements(fab, tr.Meta.Ranks)[0]
+	b := basePlacements(t, fab, tr.Meta.Ranks)[0]
 	if err := m.Calibrate([][]transport.Endpoint{b, b}, []units.Time{1, 2}); err == nil {
 		t.Error("calibrated on fewer anchors than features")
 	}

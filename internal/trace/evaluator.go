@@ -452,14 +452,8 @@ func validatePlaces(t *Trace, fab *fabric.System, places []transport.Endpoint) e
 	if len(places) != t.Meta.Ranks {
 		return fmt.Errorf("trace: replay: %d placements for %d ranks", len(places), t.Meta.Ranks)
 	}
-	for r, pl := range places {
-		if !fab.Contains(pl.Node) {
-			return fmt.Errorf("trace: replay: rank %d placed on %v outside the %d-node fabric",
-				r, pl.Node, fab.Nodes())
-		}
-		if pl.Core < 0 || pl.Core > 3 {
-			return fmt.Errorf("trace: replay: rank %d on core %d (want 0..3)", r, pl.Core)
-		}
+	if err := transport.CheckPlaces(fab, places); err != nil {
+		return fmt.Errorf("trace: replay: %w", err)
 	}
 	return nil
 }

@@ -31,6 +31,10 @@
 // link occupancy rather than being replaced by it: the stream rate is
 // still set chunk-by-chunk by the two adapters, while the links bound
 // which flows can be on the wire at all.
+//
+// The package also decides where ranks sit: the block, strided and
+// packed placement generators and the per-rank placement check that the
+// collectives, the trace replay, the CLIs and the HTTP service share.
 package transport
 
 import (
@@ -55,6 +59,18 @@ type Policy struct {
 // Congested returns the congestion policy: every cable a single wormhole
 // channel per direction.
 func Congested() Policy { return Policy{Enabled: true} }
+
+// ParsePolicy reads a congestion setting as the CLIs and the HTTP
+// service spell it: "on" is Congested(), "off" the zero Policy.
+func ParsePolicy(s string) (Policy, error) {
+	switch s {
+	case "on":
+		return Congested(), nil
+	case "off":
+		return Policy{}, nil
+	}
+	return Policy{}, fmt.Errorf("congestion must be on or off, got %q", s)
+}
 
 // Endpoint locates one side of a transfer: the node and the Opteron core
 // the MPI call issues from (HCA proximity per Fig. 8).

@@ -86,13 +86,18 @@ func Experiments() []Experiment { return experiments.All() }
 func ExperimentIDs() []string { return experiments.IDs() }
 
 // RunExperiment runs one experiment by ID ("table1" .. "fig14",
-// "linpack", "ablation-*").
+// "linpack", "ablation-*"), then measures its host checks, if it has
+// any.
 func RunExperiment(id string) (*Artifact, error) {
 	e, ok := experiments.ByID(id)
 	if !ok {
 		return nil, fmt.Errorf("roadrunner: unknown experiment %q (have %v)", id, experiments.IDs())
 	}
-	return e.Run(), nil
+	a := e.Run()
+	if e.Host != nil {
+		a.Host = e.Host()
+	}
+	return a, nil
 }
 
 // RunSuite runs the full registered suite through the orchestrator and
@@ -193,27 +198,6 @@ func RunCollective(op CollectiveOp, nodes int, size units.Size) (*CollectiveResu
 // The Result's Congestion census reports the most contended links.
 func RunCollectiveCongested(op CollectiveOp, nodes int, size units.Size) (*CollectiveResult, error) {
 	cfg, err := collectives.CongestedConfig(nodes)
-	if err != nil {
-		return nil, err
-	}
-	return collectives.Run(cfg, op, size)
-}
-
-// RunCollectiveOn is RunCollective on the named fabric topology
-// (infinite capacity; see Topologies).
-func RunCollectiveOn(topology string, op CollectiveOp, nodes int, size units.Size) (*CollectiveResult, error) {
-	cfg, err := collectives.DefaultConfigOn(topology, nodes)
-	if err != nil {
-		return nil, err
-	}
-	return collectives.Run(cfg, op, size)
-}
-
-// RunCollectiveCongestedOn is RunCollectiveCongested on the named
-// fabric topology: the same collective, with every message routed over
-// that topology's cables and concurrent flows serializing per cable.
-func RunCollectiveCongestedOn(topology string, op CollectiveOp, nodes int, size units.Size) (*CollectiveResult, error) {
-	cfg, err := collectives.CongestedConfigOn(topology, nodes)
 	if err != nil {
 		return nil, err
 	}
