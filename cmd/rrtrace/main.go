@@ -344,7 +344,7 @@ func replay(args []string) int {
 		"rank→node mapping: block, strided, packed — or all, replaying every mapping as independent runs")
 	stride := fs.Int("stride", transport.DefaultStride, "node stride for -placement strided")
 	perNode := fs.Int("per-node", transport.DefaultPerNode, "ranks per node for -placement packed")
-	core := fs.Int("core", 1, "issuing Opteron core for block/strided placements")
+	core := fs.Int("core", 1, "issuing Opteron core (0..3) for block/strided placements")
 	congestion := fs.String("congestion", "on",
 		"link congestion: on holds wormhole channels on every routed cable; off is the infinite-capacity fabric")
 	skipCompute := fs.Bool("skip-compute", false, "strip compute records: replay the bare communication schedule")
@@ -358,6 +358,10 @@ func replay(args []string) int {
 	}
 	pol, ok := checkFlags("replay", *congestion, *stride, *perNode, *toplinks)
 	if !ok {
+		return 2
+	}
+	if *core < 0 || *core > 3 {
+		fmt.Fprintf(os.Stderr, "rrtrace replay: -core %d outside 0..3\n", *core)
 		return 2
 	}
 	names := []string{*placementName}

@@ -60,6 +60,8 @@ func TestBadFlagValuesExit2(t *testing.T) {
 		{"replay", "-i", tr, "-placement", "all", "-per-node", "0"},
 		{"optimize", "-i", tr, "-per-node", "7"},
 		{"replay", "-i", tr, "-toplinks", "-1"},
+		{"replay", "-i", tr, "-core", "7"},
+		{"replay", "-i", tr, "-placement", "packed", "-core", "-1"},
 		{"optimize", "-i", tr, "-toplinks", "-1"},
 	}
 	for _, args := range cases {

@@ -197,7 +197,7 @@ func eventLess(a, b event) bool {
 }
 
 // eventHeap is a plain binary min-heap; the facility's calendar is far
-// too small to need internal/sim's slab calendar.
+// too small to need internal/sim's radix calendar.
 type eventHeap []event
 
 func (h *eventHeap) push(e event) {

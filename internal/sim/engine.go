@@ -18,44 +18,58 @@
 // transfer chain, proc.go, the engine's proc list, Close's kill and the
 // proc half of DeadlockError can go.
 //
-// The calendar is a 4-ary min-heap of event values held in one slab
-// slice: scheduling an event costs no allocation beyond amortised slice
-// growth, and dispatching never touches the garbage collector. A finished
-// engine can be Reset with its calendar slab retained, so pooled callers
-// (the replay evaluator) pay construction once per search, not per
-// evaluation. All of it matters because the experiment orchestrator runs
-// one engine per experiment across all CPUs at once, and the placement
-// optimizer replays tens of thousands of evaluations per run.
+// The calendar is a radix heap (Ahuja, Mehlhorn, Orlin and Tarjan,
+// J. ACM 1990), the monotone priority queue a DES clock permits, since
+// no event is scheduled before Now: scheduling is one append with no
+// comparison, and zero-delay events and ties queue FIFO behind the
+// events already due at Now (see Engine). Events are held by value, so
+// scheduling costs no allocation beyond amortised slice growth and
+// dispatching never touches the garbage collector. A finished engine can be Reset
+// with its buckets' backing arrays retained, so pooled callers (the
+// replay evaluator) pay construction once per search, not per
+// evaluation. All of it matters because the experiment orchestrator
+// runs one engine per experiment across all CPUs at once, and the
+// placement optimizer replays tens of thousands of evaluations per run.
 package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
 	"roadrunner/internal/units"
 )
 
-// event is a single calendar entry. Events are stored by value in the
-// engine's heap slab.
+// event is a single calendar entry, stored by value in a bucket.
 type event struct {
-	at  units.Time
-	seq int64
-	fn  func()
+	at units.Time
+	fn func()
 }
 
 // Engine is a discrete-event simulation engine. The zero value is not
 // usable; construct with NewEngine.
+//
+// The calendar's base is the clock: the time of the last dispatched
+// event, or 0 after NewEngine and Reset. Bucket 0 holds the events at
+// Now; bucket k holds the events whose time first differs from Now in
+// bit k-1, k = bits.Len64(at ^ now). Times are non-negative, so k never
+// exceeds 63. Every bucket keeps its events in schedule order: appends
+// arrive in that order, and a redistribution (next) only ever fills
+// buckets that are empty. Events therefore dispatch in (time, schedule
+// order) with no sequence number and no key comparison.
 type Engine struct {
-	now    units.Time
-	seq    int64
-	events []event // 4-ary min-heap ordered by (at, seq)
+	now     units.Time
+	buckets [64][]event
+	head    int    // buckets[0] index of the next event to dispatch
+	full    uint64 // bit k set while buckets[k] may hold events
+	pending int    // events on the calendar
 
 	procs  procList // all live (not yet finished) procs
 	closed bool
 
-	dispatched int64 // events executed over the engine's lifetime
-	peakEvents int   // calendar high-water mark
+	dispatched  int64 // events executed over the engine's lifetime
+	peakPending int   // most events on the calendar at once
 }
 
 // NewEngine returns an empty engine at time zero.
@@ -75,94 +89,58 @@ func (e *Engine) Schedule(delay units.Time, fn func()) {
 	e.At(e.now+delay, fn)
 }
 
-// At arranges for fn to run at absolute time t, which must not precede Now().
+// At arranges for fn to run at absolute time t, which must not precede
+// Now(). It appends the event to its bucket: no comparison, no sift.
 func (e *Engine) At(t units.Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
 	}
-	e.seq++
-	e.push(event{at: t, seq: e.seq, fn: fn})
+	k := bits.Len64(uint64(t ^ e.now))
+	e.buckets[k] = append(e.buckets[k], event{at: t, fn: fn})
+	e.full |= 1 << k
+	e.pending++
+	if e.pending > e.peakPending {
+		e.peakPending = e.pending
+	}
 }
 
-// lessEv orders events by (time, sequence).
-func lessEv(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
+// next refills bucket 0 once it has been drained, and reports whether
+// any event is left. The lowest non-empty bucket holds the earliest
+// events; its earliest time becomes the clock, and each of its events
+// moves to the bucket of its time under the new clock. Every one lands
+// in a lower bucket, and all of those are empty, so each keeps its
+// events in schedule order. An event moves down at most 63 times in its
+// life. The drained slots are zeroed so the event closures can be
+// collected.
+func (e *Engine) next() bool {
+	clear(e.buckets[0])
+	e.buckets[0], e.head = e.buckets[0][:0], 0
+	e.full &^= 1
+	if e.full == 0 {
+		return false
 	}
-	return a.seq < b.seq
+	k := bits.TrailingZeros64(e.full)
+	b := e.buckets[k]
+	now := b[0].at
+	for _, ev := range b[1:] {
+		now = min(now, ev.at)
+	}
+	e.now = now
+	for _, ev := range b {
+		j := bits.Len64(uint64(ev.at ^ now))
+		e.buckets[j] = append(e.buckets[j], ev)
+		e.full |= 1 << j
+	}
+	clear(b)
+	e.buckets[k] = b[:0]
+	e.full &^= 1 << k
+	return true
 }
-
-// push appends an event value to the slab and restores the heap property.
-// The sift moves a hole up and places the new event once, instead of
-// swapping three words at every level.
-//
-// The calendar is a 4-ary min-heap: half the depth of a binary heap, so
-// pop — the engine's single hottest function on full-machine sweeps —
-// sifts through half as many levels, and the four children it compares
-// per level share cache lines. The heap pops the strict (time, seq)
-// total order's exact minimum either way, so the dispatch sequence (and
-// every simulated result) is identical to the binary-heap calendar's.
-func (e *Engine) push(ev event) {
-	e.events = append(e.events, ev)
-	if len(e.events) > e.peakEvents {
-		e.peakEvents = len(e.events)
-	}
-	i := len(e.events) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !lessEv(&ev, &e.events[parent]) {
-			break
-		}
-		e.events[i] = e.events[parent]
-		i = parent
-	}
-	e.events[i] = ev
-}
-
-// pop removes and returns the earliest event, sifting the hole down and
-// placing the displaced last element once. The vacated slab slot is
-// zeroed so the event closure can be collected.
-func (e *Engine) pop() event {
-	top := e.events[0]
-	n := len(e.events) - 1
-	last := e.events[n]
-	e.events[n] = event{}
-	e.events = e.events[:n]
-	if n == 0 {
-		return top
-	}
-	i := 0
-	for {
-		least := 4*i + 1
-		if least >= n {
-			break
-		}
-		end := least + 4
-		if end > n {
-			end = n
-		}
-		for c := least + 1; c < end; c++ {
-			if lessEv(&e.events[c], &e.events[least]) {
-				least = c
-			}
-		}
-		if !lessEv(&e.events[least], &last) {
-			break
-		}
-		e.events[i] = e.events[least]
-		i = least
-	}
-	e.events[i] = last
-	return top
-}
-
-// Pending reports the number of events on the calendar.
-func (e *Engine) Pending() int { return len(e.events) }
 
 // Stats is a snapshot of engine counters, cheap enough to read anywhere.
 type Stats struct {
 	Dispatched   int64 // events executed so far
-	CalendarPeak int   // calendar high-water mark (slab length)
+	CalendarPeak int   // most events on the calendar at once
 	LiveProcs    int   // procs spawned and not yet finished
 	ParkedProcs  int   // procs currently blocked
 }
@@ -177,15 +155,15 @@ func (e *Engine) Stats() Stats {
 	}
 	return Stats{
 		Dispatched:   e.dispatched,
-		CalendarPeak: e.peakEvents,
+		CalendarPeak: e.peakPending,
 		LiveProcs:    e.procs.n,
 		ParkedProcs:  parked,
 	}
 }
 
 // Reset returns a finished engine to its initial state — time zero,
-// empty calendar, zeroed counters — while keeping the calendar slab
-// allocated, so a pooled engine replays a fresh workload without
+// empty calendar, zeroed counters — while keeping the buckets' backing
+// arrays allocated, so a pooled engine replays a fresh workload without
 // rebuilding its structures. A run that completed cleanly (Run returned
 // nil and every proc finished) resets to a state byte-identical to
 // NewEngine's apart from retained capacity; resetting a closed engine,
@@ -198,13 +176,12 @@ func (e *Engine) Reset() {
 	if e.procs.n > 0 {
 		panic(fmt.Sprintf("sim: reset with %d live proc(s)", e.procs.n))
 	}
-	if len(e.events) > 0 {
-		panic(fmt.Sprintf("sim: reset with %d queued event(s)", len(e.events)))
+	if e.pending > 0 {
+		panic(fmt.Sprintf("sim: reset with %d queued event(s)", e.pending))
 	}
 	e.now = 0
-	e.seq = 0
 	e.dispatched = 0
-	e.peakEvents = 0
+	e.peakPending = 0
 }
 
 // DeadlockError is returned by Run when the calendar empties while
@@ -223,47 +200,24 @@ func (d *DeadlockError) Error() string {
 // Run processes events until the calendar is empty. It returns nil on a
 // clean finish, or a *DeadlockError if blocked processes remain.
 func (e *Engine) Run() error {
-	return e.run(-1)
-}
-
-// RunUntil processes events with timestamps <= t, then advances the clock
-// to t. Events beyond t remain queued. Blocked processes are not an error
-// here: the caller may still intend to run further.
-func (e *Engine) RunUntil(t units.Time) error {
-	if t < e.now {
-		return fmt.Errorf("sim: RunUntil(%v) before now %v", t, e.now)
-	}
-	err := e.run(t)
-	if err == nil && e.now < t {
-		e.now = t
-	}
-	return err
-}
-
-func (e *Engine) run(until units.Time) error {
 	if e.closed {
 		return fmt.Errorf("sim: engine is closed")
 	}
-	if until < 0 {
-		// The unbounded loop, free of the horizon compare: the shape
-		// every full run dispatches millions of events through.
-		for len(e.events) > 0 {
-			ev := e.pop()
-			e.now = ev.at
+	for {
+		// Re-read bucket 0 each time: the event may append to it.
+		if b := e.buckets[0]; e.head < len(b) {
+			fn := b[e.head].fn
+			e.head++
+			e.pending--
 			e.dispatched++
-			ev.fn()
+			fn()
+			continue
+		}
+		if !e.next() {
+			break
 		}
 	}
-	for until >= 0 && len(e.events) > 0 {
-		if e.events[0].at > until {
-			return nil
-		}
-		ev := e.pop()
-		e.now = ev.at
-		e.dispatched++
-		ev.fn()
-	}
-	if until < 0 && e.procs.n > 0 {
+	if e.procs.n > 0 {
 		// Control only returns to the loop when every live proc is
 		// blocked, so an empty calendar with live procs is a deadlock.
 		d := &DeadlockError{Time: e.now}
@@ -290,5 +244,5 @@ func (e *Engine) Close() {
 		p = next
 	}
 	e.procs = procList{}
-	e.events = nil
+	e.buckets, e.head, e.full, e.pending = [64][]event{}, 0, 0, 0
 }

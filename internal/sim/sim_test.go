@@ -170,28 +170,6 @@ func TestParkWake(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	e.Schedule(10*units.Nanosecond, func() { fired++ })
-	e.Schedule(30*units.Nanosecond, func() { fired++ })
-	if err := e.RunUntil(20 * units.Nanosecond); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 1 {
-		t.Errorf("fired = %d, want 1", fired)
-	}
-	if e.Now() != 20*units.Nanosecond {
-		t.Errorf("now = %v, want 20ns", e.Now())
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 2 {
-		t.Errorf("fired = %d, want 2", fired)
-	}
-}
-
 // hold takes one unit of r for d as an event chain, then releases it and
 // calls done, if any.
 func hold(e *Engine, r *Resource, d units.Time, done func()) {

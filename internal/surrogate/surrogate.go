@@ -132,8 +132,8 @@ type Model struct {
 	waiter      []int32    // per record: rank blocked on this send, -1 none
 	nOutC, nInC []int32    // per global node: active flow counts by direction
 	linkBusy    []int64    // per net link id: busy-until (queueing policies)
-	evq         []walkEv   // pending flow events from evHead on, packed keys
-	evHead      int        // evq index of the earliest pending event
+	ends        walkQueue  // pending flow chunk ends
+	starts      walkQueue  // pending flow starts, re-queued starts included
 	work        []int32    // runnable-rank stack
 	lbytes      []float64  // per net link id
 	lmsgs       []float64  // per net link id
@@ -281,7 +281,8 @@ func newModel(mat *trace.TrafficMatrix, dag *compiled, fab *fabric.System, prof 
 		waiter:   waiter,
 		nOutC:    make([]int32, fab.Nodes()),
 		nInC:     make([]int32, fab.Nodes()),
-		evq:      make([]walkEv, 0, 2*mat.Ranks),
+		ends:     walkQueue{q: make([]walkEv, 0, 2*mat.Ranks+1)},
+		starts:   walkQueue{q: make([]walkEv, 0, 2*mat.Ranks+1)},
 		work:     make([]int32, 0, mat.Ranks),
 		nin:      make([]float64, fab.Nodes()),
 		nout:     make([]float64, fab.Nodes()),
@@ -343,36 +344,67 @@ type walkRank struct {
 	pc, pair int32
 }
 
-// evPush adds a walk event. The queue, evq[evHead:], holds at most one
-// event per rank, sorted earliest first: pops advance evHead and an
-// insertion shifts only the pending events later than it — few on the
-// wavefront schedules traces carry, where a new flow event lands near
-// the back. That beats a binary heap's sift-down per pop, whose
+// walkQueue is one of the walk's two pending-event queues: q[head:],
+// sorted earliest first and closed by a sentinel that orders after
+// every event, so a pop needs no emptiness test. Pops advance head, and
+// an insertion shifts only the pending events later than it: few on the
+// wavefront schedules traces carry, where a new event lands near the
+// back. That beats a binary heap's sift-down per pop, whose
 // data-dependent branches mispredict at every level.
+type walkQueue struct {
+	q    []walkEv
+	head int
+}
+
+// noEvent is the sentinel's k1: later than any walk event's.
+const noEvent = math.MaxInt64
+
+// reset empties the queue, keeping its array.
+func (w *walkQueue) reset() {
+	w.q, w.head = append(w.q[:0], walkEv{k1: noEvent}), 0
+}
+
+// evPush adds a walk event to its kind's queue. Chunk ends and flow
+// starts are kept apart because a new event of either kind tends to be
+// earlier than many pending events of the other kind, which one shared
+// queue would shift it past, yet lands near the back of its own.
 func (m *Model) evPush(t, arr int64, kind uint8, r int32) {
 	k1 := t<<1 | int64(kind)
 	k2 := arr<<20 | int64(r)
-	q, h := m.evq, m.evHead
+	w := &m.starts
+	if kind == evEnd {
+		w = &m.ends
+	}
+	q, h := w.q, w.head
 	if len(q) == cap(q) && h > 0 {
 		q = q[:copy(q, q[h:])]
-		h, m.evHead = 0, 0
+		h, w.head = 0, 0
 	}
-	q = append(q, walkEv{})
-	i := len(q) - 1
+	// The new sentinel goes at the back; the old one's slot takes the
+	// event or the last event shifted up.
+	q = append(q, walkEv{k1: noEvent})
+	i := len(q) - 2
 	for i > h && (q[i-1].k1 > k1 || (q[i-1].k1 == k1 && q[i-1].k2 > k2)) {
 		q[i] = q[i-1]
 		i--
 	}
 	q[i] = walkEv{k1, k2}
-	m.evq = q
+	w.q = q
 }
 
-// evPop removes and returns the earliest walk event's packed keys.
+// evPop removes and returns the earliest walk event's packed keys, the
+// earlier of the two queues' heads, or a k1 of noEvent when both are
+// empty. The heads' k1 words differ unless both are sentinels, in the
+// kind bit if not in the time, so comparing them decides the packed
+// (k1, k2) order.
 func (m *Model) evPop() (int64, int64) {
-	top := m.evq[m.evHead]
-	m.evHead++
-	if m.evHead == len(m.evq) {
-		m.evq, m.evHead = m.evq[:0], 0
+	w := &m.ends
+	if s := &m.starts; s.q[s.head].k1 < w.q[w.head].k1 {
+		w = s
+	}
+	top := w.q[w.head]
+	if top.k1 != noEvent {
+		w.head++
 	}
 	return top.k1, top.k2
 }
@@ -517,7 +549,8 @@ func (m *Model) features(places []transport.Endpoint) *[NumFeatures]float64 {
 	nOutC, nInC, linkBusy, rk := m.nOutC, m.nInC, m.linkBusy, m.rk
 	mfPs, dupPs, queueing := m.mfPs, m.dupPs, m.queueing
 	clear(deliv)
-	m.evq, m.evHead = m.evq[:0], 0
+	m.ends.reset()
+	m.starts.reset()
 	work := m.work[:0]
 	for r := m.mat.Ranks - 1; r >= 0; r-- {
 		rk[r].pc = d.off[r]
@@ -578,10 +611,10 @@ func (m *Model) features(places []transport.Endpoint) *[NumFeatures]float64 {
 			}
 			rs.pc, rs.clk = i, c
 		}
-		if m.evHead == len(m.evq) {
+		k1, k2 := m.evPop()
+		if k1 == noEvent {
 			break
 		}
-		k1, k2 := m.evPop()
 		t, r := k1>>1, int32(k2&(1<<20-1))
 		rs := &rk[r]
 		pe := &pairs[rs.pair]
