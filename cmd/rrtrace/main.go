@@ -318,8 +318,8 @@ func checkFlags(cmd, congestion string, stride, perNode, toplinks int) (transpor
 	switch {
 	case stride < 1:
 		fmt.Fprintf(os.Stderr, "rrtrace %s: -stride %d below 1\n", cmd, stride)
-	case perNode < 1 || perNode > 4:
-		fmt.Fprintf(os.Stderr, "rrtrace %s: -per-node %d outside 1..4\n", cmd, perNode)
+	case perNode < 1 || perNode > transport.Cores:
+		fmt.Fprintf(os.Stderr, "rrtrace %s: -per-node %d outside 1..%d\n", cmd, perNode, transport.Cores)
 	case toplinks < 0:
 		fmt.Fprintf(os.Stderr, "rrtrace %s: -toplinks %d below 0\n", cmd, toplinks)
 	default:
@@ -360,8 +360,8 @@ func replay(args []string) int {
 	if !ok {
 		return 2
 	}
-	if *core < 0 || *core > 3 {
-		fmt.Fprintf(os.Stderr, "rrtrace replay: -core %d outside 0..3\n", *core)
+	if err := transport.CheckCore(*core); err != nil {
+		fmt.Fprintf(os.Stderr, "rrtrace replay: -%v\n", err)
 		return 2
 	}
 	names := []string{*placementName}

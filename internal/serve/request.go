@@ -58,8 +58,8 @@ func (p *placementSpec) endpoints(fab *fabric.System, ranks int) ([]transport.En
 	if p.Core != nil {
 		core = *p.Core
 	}
-	if core < 0 || core > 3 {
-		return nil, badRequest("placement core %d outside 0..3", core)
+	if err := transport.CheckCore(core); err != nil {
+		return nil, badRequest("placement %v", err)
 	}
 	if p.Kind == "explicit" {
 		if len(p.Places) != ranks {

@@ -364,17 +364,12 @@ func (w *walkQueue) reset() {
 	w.q, w.head = append(w.q[:0], walkEv{k1: noEvent}), 0
 }
 
-// evPush adds a walk event to its kind's queue. Chunk ends and flow
-// starts are kept apart because a new event of either kind tends to be
-// earlier than many pending events of the other kind, which one shared
-// queue would shift it past, yet lands near the back of its own.
-func (m *Model) evPush(t, arr int64, kind uint8, r int32) {
-	k1 := t<<1 | int64(kind)
-	k2 := arr<<20 | int64(r)
-	w := &m.starts
-	if kind == evEnd {
-		w = &m.ends
-	}
+// push inserts an event by its packed keys. The walk keeps chunk ends
+// and flow starts in separate queues because a new event of either kind
+// tends to be earlier than many pending events of the other kind, which
+// one shared queue would shift it past, yet lands near the back of its
+// own.
+func (w *walkQueue) push(k1, k2 int64) {
 	q, h := w.q, w.head
 	if len(q) == cap(q) && h > 0 {
 		q = q[:copy(q, q[h:])]
@@ -392,23 +387,6 @@ func (m *Model) evPush(t, arr int64, kind uint8, r int32) {
 	w.q = q
 }
 
-// evPop removes and returns the earliest walk event's packed keys, the
-// earlier of the two queues' heads, or a k1 of noEvent when both are
-// empty. The heads' k1 words differ unless both are sentinels, in the
-// kind bit if not in the time, so comparing them decides the packed
-// (k1, k2) order.
-func (m *Model) evPop() (int64, int64) {
-	w := &m.ends
-	if s := &m.starts; s.q[s.head].k1 < w.q[w.head].k1 {
-		w = s
-	}
-	top := w.q[w.head]
-	if top.k1 != noEvent {
-		w.head++
-	}
-	return top.k1, top.k2
-}
-
 // psPerByte converts a bandwidth to picoseconds per byte.
 func psPerByte(bw units.Bandwidth) float64 {
 	if bw <= 0 {
@@ -424,24 +402,16 @@ func psPerByte(bw units.Bandwidth) float64 {
 func ratePs(stream, mfPs, dupPs float64, sOut, sIn, dOut, dIn int32) float64 {
 	ps := stream
 	if sOut > 1 {
-		if v := mfPs * float64(sOut); v > ps {
-			ps = v
-		}
+		ps = max(ps, mfPs*float64(sOut))
 	}
 	if sOut > 0 && sIn > 0 {
-		if v := dupPs * float64(sOut+sIn); v > ps {
-			ps = v
-		}
+		ps = max(ps, dupPs*float64(sOut+sIn))
 	}
 	if dIn > 1 {
-		if v := mfPs * float64(dIn); v > ps {
-			ps = v
-		}
+		ps = max(ps, mfPs*float64(dIn))
 	}
 	if dOut > 0 && dIn > 0 {
-		if v := dupPs * float64(dOut+dIn); v > ps {
-			ps = v
-		}
+		ps = max(ps, dupPs*float64(dOut+dIn))
 	}
 	return ps
 }
@@ -529,28 +499,75 @@ func (m *Model) features(places []transport.Endpoint) *[NumFeatures]float64 {
 		m.nin[dg] += b
 	}
 
-	// Pass 2 — the schedule walk: a deterministic event-driven list
-	// scheduler over the trace's DAG. Every rank runs its program until
-	// it blocks on a recv or starts an inter-node payload flow;
-	// shared-memory and zero-size sends cost only their overheads and
-	// resolve inline. A flow samples its rate from the adapters' current
-	// sharing state (ib's flowRate at both ends) one walkChunk at a
-	// time, re-sampling at chunk boundaries, so overlapping flows slow
-	// one another exactly as the DES HCAs do; when the congestion policy
-	// queues, the route's admission links are busy-until servers a flow
-	// must wait out before starting, held until its stream completes
-	// (the DES's channel admission, minus hold-and-wait coupling).
-	// Events pop in (time, kind, arrival, rank) order — fully
-	// deterministic. The hot arrays live in locals so the loop stays in
-	// registers.
+	// Pass 2 — the schedule walk.
+	sched := m.walk()
+
+	// The hottest adapter's streaming time under the HCA sharing caps.
+	hca := 0.0
+	for _, g := range m.ntouch {
+		in, out := m.nin[g], m.nout[g]
+		t := math.Max(in, out) * m.mfPs
+		if d := (in + out) * m.dupPs; d > t {
+			t = d
+		}
+		if t > hca {
+			hca = t
+		}
+	}
+
+	// M/M/1 waiting per contended link against the schedule horizon.
+	waitUp, waitOther := 0.0, 0.0
+	if m.queueing {
+		t0 := float64(sched)
+		if t0 < 1 {
+			t0 = 1
+		}
+		for _, li := range m.ltouch {
+			busy := m.lbytes[li] * m.mfPs // total streaming time offered to the cable
+			if busy == 0 {
+				continue
+			}
+			rho := busy / t0
+			if rho > maxRho {
+				rho = maxRho
+			}
+			w := busy * rho / (1 - rho) // n * S * rho/(1-rho), S = busy/n
+			if m.net.Link(li).Kind == fabric.LinkUplink {
+				waitUp += w
+			} else {
+				waitOther += w
+			}
+		}
+	}
+
+	m.feat = [NumFeatures]float64{1, float64(sched), hca, waitUp, waitOther}
+	return &m.feat
+}
+
+// walk plays the trace's DAG out over the pair tables pass 1 filled
+// and returns the makespan: a deterministic event-driven list
+// scheduler. Every rank runs its program until it blocks on a recv or
+// starts an inter-node payload flow; shared-memory and zero-size sends
+// cost only their overheads and resolve inline. A flow samples its rate
+// from the adapters' current sharing state (ib's flowRate at both ends)
+// one walkChunk at a time, re-sampling at chunk boundaries, so
+// overlapping flows slow one another exactly as the DES HCAs do; when
+// the congestion policy queues, the route's admission links are
+// busy-until servers a flow must wait out before starting, held until
+// its stream completes (the DES's channel admission, minus
+// hold-and-wait coupling). Events pop in (time, kind, arrival, rank)
+// order — fully deterministic.
+func (m *Model) walk() int64 {
+	// The hot arrays live in locals so the loop stays in registers.
 	d := m.dag
 	ops, pairs := d.ops, m.pairs
+	ends, starts := &m.ends, &m.starts
 	deliv, waiter := m.deliv, m.waiter
 	nOutC, nInC, linkBusy, rk := m.nOutC, m.nInC, m.linkBusy, m.rk
 	mfPs, dupPs, queueing := m.mfPs, m.dupPs, m.queueing
 	clear(deliv)
-	m.ends.reset()
-	m.starts.reset()
+	ends.reset()
+	starts.reset()
 	work := m.work[:0]
 	for r := m.mat.Ranks - 1; r >= 0; r-- {
 		rk[r].pc = d.off[r]
@@ -603,7 +620,7 @@ func (m *Model) features(places []transport.Endpoint) *[NumFeatures]float64 {
 					start += pe.rdvT
 				}
 				rs.pair, rs.rem = op.pair, op.size
-				m.evPush(start, start, evStart, r)
+				starts.push(start<<1|evStart, start<<20|int64(r))
 				break run
 			}
 			if i == end {
@@ -611,122 +628,89 @@ func (m *Model) features(places []transport.Endpoint) *[NumFeatures]float64 {
 			}
 			rs.pc, rs.clk = i, c
 		}
-		k1, k2 := m.evPop()
-		if k1 == noEvent {
+		// The earlier head pops next. The heads' k1 words differ in the
+		// kind bit if not in the time, unless both are sentinels, so
+		// comparing them decides the packed (k1, k2) order.
+		if e := ends.q[ends.head]; e.k1 < starts.q[starts.head].k1 {
+			// One chunk of r's flow done.
+			ends.head++
+			t, r := e.k1>>1, int32(e.k2)
+			rs := &rk[r]
+			pe := &pairs[rs.pair]
+			sg, dg := pe.srcN, pe.dstN
+			rem := rs.rem - min(rs.rem, walkChunk)
+			if rem > 0 {
+				rs.rem = rem
+				ps := ratePs(pe.stream, mfPs, dupPs, nOutC[sg], nInC[sg], nOutC[dg], nInC[dg])
+				chunk := min(rem, walkChunk)
+				ends.push((t+int64(float64(chunk)*ps+0.5))<<1|evEnd, int64(r))
+				if queueing {
+					proj := t + int64(float64(rem)*ps+0.5)
+					for _, li := range pe.links {
+						linkBusy[li] = proj
+					}
+				}
+				continue
+			}
+			// Flow complete: release the adapters, deliver, resume the
+			// sender and any blocked receiver. The held links need no
+			// release write — capacity-1 admission means no other flow
+			// could touch them while held, and the final chunk's
+			// projection already wrote exactly this completion time.
+			nOutC[sg]--
+			nInC[dg]--
+			i := rs.pc
+			rs.clk = t
+			deliv[i] = t + pe.deliv
+			rs.pc = i + 1
+			work = append(work, r)
+			if w := waiter[i]; w >= 0 {
+				waiter[i] = -1
+				work = append(work, w)
+			}
+			continue
+		}
+		ev := starts.q[starts.head]
+		if ev.k1 == noEvent {
 			break
 		}
-		t, r := k1>>1, int32(k2&(1<<20-1))
+		// r's flow starts.
+		starts.head++
+		t, r := ev.k1>>1, int32(ev.k2&(1<<20-1))
 		rs := &rk[r]
 		pe := &pairs[rs.pair]
 		sg, dg := pe.srcN, pe.dstN
-		if k1&1 == evStart {
-			if queueing {
-				// Channel admission: wait out the route's busy links.
-				ready := t
-				for _, li := range pe.links {
-					if linkBusy[li] > ready {
-						ready = linkBusy[li]
-					}
-				}
-				if ready > t {
-					m.evPush(ready, k2>>20, evStart, r)
-					continue
-				}
+		if queueing {
+			// Channel admission: wait out the route's busy links.
+			ready := t
+			for _, li := range pe.links {
+				ready = max(ready, linkBusy[li])
 			}
-			nOutC[sg]++
-			nInC[dg]++
-			rem := rs.rem
-			ps := ratePs(pe.stream, mfPs, dupPs, nOutC[sg], nInC[sg], nOutC[dg], nInC[dg])
-			chunk := min(rem, walkChunk)
-			m.evPush(t+int64(float64(chunk)*ps+0.5), 0, evEnd, r)
-			if queueing {
-				proj := t + int64(float64(rem)*ps+0.5)
-				for _, li := range pe.links {
-					linkBusy[li] = proj
-				}
+			if ready > t {
+				starts.push(ready<<1|evStart, ev.k2)
+				continue
 			}
-			continue
 		}
-		// evEnd: one chunk done.
-		rem := rs.rem - min(rs.rem, walkChunk)
-		if rem > 0 {
-			rs.rem = rem
-			ps := ratePs(pe.stream, mfPs, dupPs, nOutC[sg], nInC[sg], nOutC[dg], nInC[dg])
-			chunk := min(rem, walkChunk)
-			m.evPush(t+int64(float64(chunk)*ps+0.5), 0, evEnd, r)
-			if queueing {
-				proj := t + int64(float64(rem)*ps+0.5)
-				for _, li := range pe.links {
-					linkBusy[li] = proj
-				}
+		nOutC[sg]++
+		nInC[dg]++
+		rem := rs.rem
+		ps := ratePs(pe.stream, mfPs, dupPs, nOutC[sg], nInC[sg], nOutC[dg], nInC[dg])
+		chunk := min(rem, walkChunk)
+		ends.push((t+int64(float64(chunk)*ps+0.5))<<1|evEnd, int64(r))
+		if queueing {
+			proj := t + int64(float64(rem)*ps+0.5)
+			for _, li := range pe.links {
+				linkBusy[li] = proj
 			}
-			continue
-		}
-		// Flow complete: release the adapters, deliver, resume the
-		// sender and any blocked receiver. The held links need no
-		// release write — capacity-1 admission means no other flow
-		// could touch them while held, and the final chunk's projection
-		// already wrote exactly this completion time.
-		nOutC[sg]--
-		nInC[dg]--
-		i := rs.pc
-		rs.clk = t
-		deliv[i] = t + pe.deliv
-		rs.pc = i + 1
-		work = append(work, r)
-		if w := waiter[i]; w >= 0 {
-			waiter[i] = -1
-			work = append(work, w)
 		}
 	}
 	m.work = work[:0]
 	sched := int64(0)
 	for _, rs := range m.rk {
-		if rs.clk > sched {
-			sched = rs.clk
-		}
+		sched = max(sched, rs.clk)
 	}
+	return sched
 
-	// The hottest adapter's streaming time under the HCA sharing caps.
-	hca := 0.0
-	for _, g := range m.ntouch {
-		in, out := m.nin[g], m.nout[g]
-		t := math.Max(in, out) * m.mfPs
-		if d := (in + out) * m.dupPs; d > t {
-			t = d
-		}
-		if t > hca {
-			hca = t
-		}
-	}
-
-	// M/M/1 waiting per contended link against the schedule horizon.
-	waitUp, waitOther := 0.0, 0.0
-	if m.queueing {
-		t0 := float64(sched)
-		if t0 < 1 {
-			t0 = 1
-		}
-		for _, li := range m.ltouch {
-			busy := m.lbytes[li] * m.mfPs // total streaming time offered to the cable
-			if busy == 0 {
-				continue
-			}
-			rho := busy / t0
-			if rho > maxRho {
-				rho = maxRho
-			}
-			w := busy * rho / (1 - rho) // n * S * rho/(1-rho), S = busy/n
-			if m.net.Link(li).Kind == fabric.LinkUplink {
-				waitUp += w
-			} else {
-				waitOther += w
-			}
-		}
-	}
-
-	m.feat = [NumFeatures]float64{1, float64(sched), hca, waitUp, waitOther}
-	return &m.feat
 }
 
 // Price returns the model's cost estimate for the candidate placement,

@@ -55,9 +55,25 @@ func StridedPlacement(fab *fabric.System, ranks, stride, core int) ([]Endpoint, 
 	return walk("strided", fab, ranks, stride, core)
 }
 
+// Cores is the number of Opteron cores in a node, each of which can
+// issue a rank's traffic: an endpoint's Core lies in 0..Cores-1.
+const Cores = 4
+
+// CheckCore reports whether core names one of a node's Opteron cores.
+// Its error reads "core N outside 0..3", for callers to prefix.
+func CheckCore(core int) error {
+	if core < 0 || core >= Cores {
+		return fmt.Errorf("core %d outside 0..%d", core, Cores-1)
+	}
+	return nil
+}
+
 // walk places one rank per node by stepping stride nodes at a time,
 // wrapping at the fabric's end.
 func walk(name string, fab *fabric.System, ranks, stride, core int) ([]Endpoint, error) {
+	if err := CheckCore(core); err != nil {
+		return nil, fmt.Errorf("transport: %s placement %w", name, err)
+	}
 	n := fab.Nodes()
 	switch {
 	case ranks < 0:
@@ -67,8 +83,6 @@ func walk(name string, fab *fabric.System, ranks, stride, core int) ([]Endpoint,
 			name, ranks, ranks, n)
 	case stride < 1:
 		return nil, fmt.Errorf("transport: %s placement stride %d below 1", name, stride)
-	case core < 0 || core > 3:
-		return nil, fmt.Errorf("transport: %s placement core %d outside 0..3", name, core)
 	}
 	out := make([]Endpoint, ranks)
 	seen := make([]bool, n)
@@ -90,8 +104,8 @@ func walk(name string, fab *fabric.System, ranks, stride, core int) ([]Endpoint,
 // 0..perNode-1, so a communicator mixes near (1, 3) and far (0, 2) HCA
 // cores and shares each node's adapter among its local ranks.
 func PackedPlacement(fab *fabric.System, ranks, perNode int) ([]Endpoint, error) {
-	if perNode < 1 || perNode > 4 {
-		return nil, fmt.Errorf("transport: packed placement per-node count %d outside 1..4", perNode)
+	if perNode < 1 || perNode > Cores {
+		return nil, fmt.Errorf("transport: packed placement per-node count %d outside 1..%d", perNode, Cores)
 	}
 	if ranks < 0 {
 		return nil, fmt.Errorf("transport: packed placement of %d ranks", ranks)
@@ -108,14 +122,14 @@ func PackedPlacement(fab *fabric.System, ranks, perNode int) ([]Endpoint, error)
 }
 
 // CheckPlaces checks that every rank sits on a node inside fab and on a
-// real Opteron core (0..3), and names the first rank that does not.
+// real Opteron core (CheckCore), and names the first rank that does not.
 func CheckPlaces(fab *fabric.System, places []Endpoint) error {
 	for r, pl := range places {
 		if !fab.Contains(pl.Node) {
 			return fmt.Errorf("rank %d placed on %v outside the %d-node fabric", r, pl.Node, fab.Nodes())
 		}
-		if pl.Core < 0 || pl.Core > 3 {
-			return fmt.Errorf("rank %d on core %d (want 0..3)", r, pl.Core)
+		if err := CheckCore(pl.Core); err != nil {
+			return fmt.Errorf("rank %d on %w", r, err)
 		}
 	}
 	return nil
