@@ -105,12 +105,6 @@ func (c *Chip) SPEAggregateDPSustained() units.Flops {
 	return c.SPU.PeakDPFlops() * units.Flops(c.NumSPEs)
 }
 
-// SPEAggregateSP returns the sustained single-precision aggregate
-// (204.8 GF/s on both chips).
-func (c *Chip) SPEAggregateSP() units.Flops {
-	return c.SPU.PeakSPFlops() * units.Flops(c.NumSPEs)
-}
-
 // PeakDP returns the chip peak used by Table II: PPE + 8 SPEs at their
 // architectural issue rates (108.8 GF/s for the PowerXCell 8i).
 func (c *Chip) PeakDP() units.Flops {
@@ -256,6 +250,3 @@ func (c *Chip) PPEMemLatency() units.Time {
 func (c *Chip) SPELocalStoreLatency() units.Time {
 	return params.SPELocalStoreLat
 }
-
-// MemPerChipInTriblade is the memory attached to each Cell in Roadrunner.
-func (c *Chip) MemPerChipInTriblade() units.Size { return params.MemPerCell }

@@ -54,14 +54,6 @@ func FromGlobal(g int) NodeID {
 // String renders the node as CUx/ny.
 func (n NodeID) String() string { return fmt.Sprintf("CU%d/n%d", n.CU+1, n.Node) }
 
-// PairKey packs a directed node pair into one comparable word: the
-// canonical key for per-pair caches (the transport's route/hop cache
-// keys every (src, dst) it has routed with this). Global IDs are far
-// below 2^32, so the packing is collision-free.
-func PairKey(a, b NodeID) uint64 {
-	return uint64(a.GlobalID())<<32 | uint64(b.GlobalID())
-}
-
 // System is the full interconnect model: a Topology implementation
 // (the default fat-tree, a torus, ...) plus the system-wide accessors
 // the paper's metrics derive from. Construct with New, NewScaled or

@@ -70,11 +70,6 @@ func (s *System) CUPeakDP() units.Flops {
 	return s.Node.PeakDP() * units.Flops(s.Config.NodesPerCU)
 }
 
-// CUPeakSP returns one CU's SP peak (171.1 TF/s).
-func (s *System) CUPeakSP() units.Flops {
-	return s.Node.PeakSP() * units.Flops(s.Config.NodesPerCU)
-}
-
 // Memory returns total node memory (32 GB per node).
 func (s *System) Memory() units.Size {
 	return (s.Node.OpteronMemory() + s.Node.CellMemory()) * units.Size(s.Nodes())

@@ -111,26 +111,17 @@ type Config struct {
 	// temperature.
 	AnnealRounds int
 	AnnealBatch  int
-	// InitTempFrac is the initial temperature as a fraction of the
-	// seed mapping's makespan (default 0.005); CoolRate the per-round
-	// geometric decay (default 0.6).
-	InitTempFrac float64
-	CoolRate     float64
-	// PoolNodes bounds relocation moves: a relocated rank lands on a
-	// global node index below PoolNodes (default 4x ranks, clamped to
-	// the fabric; swaps are unaffected). Zero takes the default.
+	// Pool is the relocation candidate set: a relocated rank lands only
+	// on one of these nodes (swaps are unaffected). Empty means the
+	// fabric's first max(4×ranks, 256) nodes by global index. The
+	// facility simulator's placement-assisted allocator passes the node
+	// set a job was actually granted, so a mapping never drifts onto
+	// nodes the batch scheduler gave to someone else.
 	//
 	// Moves preserve node capacity: a relocation never leaves more
 	// than four ranks (one per Opteron core) on a node, so every
 	// mapping the search visits is physically placeable — provided the
 	// start mappings are.
-	PoolNodes int
-	// Pool, when non-empty, replaces the PoolNodes prefix as the
-	// relocation candidate set: a relocated rank lands only on one of
-	// these nodes. The facility simulator's placement-assisted
-	// allocator uses this to keep the search inside the node set a job
-	// was actually granted — a mapping must never drift onto nodes the
-	// batch scheduler gave to someone else.
 	Pool []fabric.NodeID
 
 	// Surrogate turns on the two-tier search: each round generates
@@ -252,6 +243,13 @@ type Result struct {
 // from the proposal stream.
 const anchorSeedSalt = 0x5ca1ab1e
 
+// The annealing schedule: the initial temperature as a fraction of the
+// seed mapping's makespan, and the per-round geometric decay.
+const (
+	initTempFrac = 0.005
+	coolRate     = 0.6
+)
+
 // defaults fills zero config fields.
 func (c *Config) defaults(ranks, fabricNodes int) Config {
 	d := *c
@@ -273,20 +271,12 @@ func (c *Config) defaults(ranks, fabricNodes int) Config {
 	if d.AnnealBatch == 0 {
 		d.AnnealBatch = 24
 	}
-	if d.InitTempFrac == 0 {
-		d.InitTempFrac = 0.005
-	}
-	if d.CoolRate == 0 {
-		d.CoolRate = 0.6
-	}
-	if d.PoolNodes == 0 {
-		d.PoolNodes = 4 * ranks
-		if d.PoolNodes < 256 {
-			d.PoolNodes = 256
+	if len(d.Pool) == 0 {
+		n := min(max(4*ranks, 256), fabricNodes)
+		d.Pool = make([]fabric.NodeID, n)
+		for g := range d.Pool {
+			d.Pool[g] = fabric.FromGlobal(g)
 		}
-	}
-	if d.PoolNodes > fabricNodes {
-		d.PoolNodes = fabricNodes
 	}
 	if d.ScreenFactor == 0 {
 		d.ScreenFactor = 4
@@ -312,8 +302,7 @@ func Optimize(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("placement: no start mappings")
 	}
 	if cfg.GreedyRounds < 0 || cfg.GreedyBatch < 0 || cfg.GreedyPatience < 0 ||
-		cfg.AnnealRounds < 0 || cfg.AnnealBatch < 0 || cfg.PoolNodes < 0 ||
-		cfg.InitTempFrac < 0 || cfg.CoolRate < 0 ||
+		cfg.AnnealRounds < 0 || cfg.AnnealBatch < 0 ||
 		cfg.ScreenFactor < 0 || cfg.Anchors < 0 {
 		return nil, fmt.Errorf("placement: negative search parameter in %+v", cfg)
 	}
@@ -462,7 +451,7 @@ func Optimize(cfg Config) (*Result, error) {
 	// not re-seed the round's remaining proposals), so an occasional
 	// uphill move can walk the search off the greedy phase's local
 	// minimum.
-	temp := units.Time(float64(res.StartTime) * c.InitTempFrac)
+	temp := units.Time(float64(res.StartTime) * initTempFrac)
 	for round := 0; round < c.AnnealRounds && temp > 0; round++ {
 		cands := make([][]transport.Endpoint, c.AnnealBatch*ev.factor(c.ScreenFactor))
 		for i := range cands {
@@ -470,7 +459,7 @@ func Optimize(cfg Config) (*Result, error) {
 			if rng.Intn(2) == 0 {
 				swapMove(rng, m)
 			} else {
-				relocateMove(rng, m, c.PoolNodes, c.Pool)
+				relocateMove(rng, m, c.Pool)
 			}
 			cands[i] = m
 		}
@@ -498,7 +487,7 @@ func Optimize(cfg Config) (*Result, error) {
 			Phase: "anneal", Round: round, Temp: temp, Accepted: accepted,
 			Current: curTime, Best: bestTime, Evaluations: ev.traj.DESEvals,
 		})
-		temp = units.Time(float64(temp) * c.CoolRate)
+		temp = units.Time(float64(temp) * coolRate)
 	}
 
 	res.Best = bestPlaces
@@ -522,22 +511,15 @@ func swapMove(rng *rand.Rand, m []transport.Endpoint) {
 	m[i], m[j] = m[j], m[i]
 }
 
-// relocateMove sends one rank to a random node of the relocation pool —
-// an explicit node set when given, the global index prefix [0,
-// poolNodes) otherwise — keeping its core when free and taking the
-// node's first free core otherwise. Nodes already hosting four other
-// ranks are infeasible (a node has four Opteron cores); after a few
-// infeasible draws the move degenerates to a no-op, which just
-// re-proposes the incumbent.
-func relocateMove(rng *rand.Rand, m []transport.Endpoint, poolNodes int, pool []fabric.NodeID) {
+// relocateMove sends one rank to a random node of the relocation pool,
+// keeping its core when free and taking the node's first free core
+// otherwise. Nodes already hosting four other ranks are infeasible (a
+// node has four Opteron cores); after a few infeasible draws the move
+// degenerates to a no-op, which just re-proposes the incumbent.
+func relocateMove(rng *rand.Rand, m []transport.Endpoint, pool []fabric.NodeID) {
 	i := rng.Intn(len(m))
 	for try := 0; try < 8; try++ {
-		var node fabric.NodeID
-		if len(pool) > 0 {
-			node = pool[rng.Intn(len(pool))]
-		} else {
-			node = fabric.FromGlobal(rng.Intn(poolNodes))
-		}
+		node := pool[rng.Intn(len(pool))]
 		var used [4]bool
 		occupants := 0
 		for j := range m {

@@ -186,7 +186,8 @@ func TestOptimizeRespectsNodeCapacity(t *testing.T) {
 	cfg.GreedyRounds = 1
 	cfg.AnnealRounds = 6
 	cfg.AnnealBatch = 16
-	cfg.PoolNodes = 4 // a tiny pool forces relocation pressure onto full nodes
+	// A tiny pool forces relocation pressure onto full nodes.
+	cfg.Pool = []fabric.NodeID{fabric.FromGlobal(0), fabric.FromGlobal(1), fabric.FromGlobal(2), fabric.FromGlobal(3)}
 	res, err := Optimize(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -326,8 +327,6 @@ func TestOptimizeConfigErrors(t *testing.T) {
 			Starts: []Start{{Name: "x", Places: spread(1, 1)}}}},
 		{"negative batch", Config{Trace: tr, Replay: trace.ReplayConfig{Fabric: fab},
 			Starts: []Start{{Name: "x", Places: spread(2, 1)}}, GreedyBatch: -1}},
-		{"negative pool", Config{Trace: tr, Replay: trace.ReplayConfig{Fabric: fab},
-			Starts: []Start{{Name: "x", Places: spread(2, 1)}}, PoolNodes: -4}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

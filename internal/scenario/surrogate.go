@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -314,7 +315,9 @@ type SurrogateSpeed struct {
 	// DESPerEval and SurrogatePerEval are the medians of the rounds.
 	DESPerEval       time.Duration
 	SurrogatePerEval time.Duration
-	Speedup          float64 // DESPerEval / SurrogatePerEval
+	// Speedup is the median over the rounds of DESRounds[i] /
+	// SurrogateRounds[i].
+	Speedup float64
 	// The per-eval cost each round measured, in round order.
 	DESRounds, SurrogateRounds []time.Duration
 }
@@ -330,14 +333,17 @@ const SurrogateSpeedFloor = 3.0
 // speedRounds is how many rounds MeasureSurrogateSpeed times. On a
 // shared host one reading of each tier puts the ratio anywhere from
 // below the floor to twice it; a load spike during one round moves the
-// medians little.
+// median little.
 const speedRounds = 9
 
 // MeasureSurrogateSpeed times both tiers on the same congested
 // placement after a warm-up evaluation each. Each round times 10 DES
 // replays and 100 prices, alternating one replay with ten prices, so
 // load on the host slows both tiers of a round alike; the speedup is
-// the ratio of the two tiers' medians over the rounds.
+// the median of the rounds' own ratios. (A ratio of the two tiers'
+// medians could pair a DES median from unloaded rounds with a price
+// median from loaded ones when a competing load comes and goes within
+// the measurement.)
 func MeasureSurrogateSpeed(tr *trace.Trace) (*SurrogateSpeed, error) {
 	fab, err := fabric.NewTopology(fabric.DefaultTopology)
 	if err != nil {
@@ -383,17 +389,19 @@ func MeasureSurrogateSpeed(tr *trace.Trace) (*SurrogateSpeed, error) {
 		sp.DESRounds = append(sp.DESRounds, des/desReps)
 		sp.SurrogateRounds = append(sp.SurrogateRounds, sur/(desReps*pricesPerReplay))
 	}
-	sp.DESPerEval = medianDuration(sp.DESRounds)
-	sp.SurrogatePerEval = medianDuration(sp.SurrogateRounds)
-	if sp.SurrogatePerEval > 0 {
-		sp.Speedup = float64(sp.DESPerEval) / float64(sp.SurrogatePerEval)
+	ratios := make([]float64, speedRounds)
+	for i, d := range sp.DESRounds {
+		ratios[i] = float64(d) / float64(sp.SurrogateRounds[i])
 	}
+	sp.DESPerEval = median(sp.DESRounds)
+	sp.SurrogatePerEval = median(sp.SurrogateRounds)
+	sp.Speedup = median(ratios)
 	return sp, nil
 }
 
-// medianDuration returns the median of an odd-length sample.
-func medianDuration(ds []time.Duration) time.Duration {
-	s := slices.Clone(ds)
+// median returns the median of an odd-length sample.
+func median[T cmp.Ordered](xs []T) T {
+	s := slices.Clone(xs)
 	slices.Sort(s)
 	return s[len(s)/2]
 }

@@ -82,7 +82,8 @@ func TestSurrogateSpeedFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("surrogate speedup %.2fx (median DES %v, surrogate %v)", sp.Speedup, sp.DESPerEval, sp.SurrogatePerEval)
+	t.Logf("surrogate speedup %.2fx, median of per-round ratios (ratio of medians %.2fx: DES %v, surrogate %v)",
+		sp.Speedup, float64(sp.DESPerEval)/float64(sp.SurrogatePerEval), sp.DESPerEval, sp.SurrogatePerEval)
 	if sp.Speedup < SurrogateSpeedFloor {
 		t.Errorf("surrogate speedup below the %.0fx floor; per-eval rounds: DES %v, surrogate %v",
 			SurrogateSpeedFloor, sp.DESRounds, sp.SurrogateRounds)

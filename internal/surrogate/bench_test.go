@@ -6,6 +6,7 @@ import (
 	"roadrunner/internal/fabric"
 	"roadrunner/internal/ib"
 	"roadrunner/internal/surrogate"
+	"roadrunner/internal/trace"
 	"roadrunner/internal/transport"
 )
 
@@ -18,7 +19,7 @@ func benchModel(b *testing.B) (*surrogate.Model, []transport.Endpoint) {
 	b.Helper()
 	tr := testTrace(b)
 	fab := fabric.New()
-	m, err := surrogate.New(tr, fab, ib.OpenMPI(), transport.Congested())
+	m, err := surrogate.NewReplay(tr, trace.ReplayConfig{Fabric: fab, Profile: ib.OpenMPI(), Policy: transport.Congested()})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -55,16 +56,16 @@ func BenchmarkSurrogatePriceColdRoutes(b *testing.B) {
 	}
 }
 
-// BenchmarkSurrogateNew is the per-trace setup: traffic matrix,
-// dependency compile and buffer allocation. Paid once per search, not
-// per candidate.
+// BenchmarkSurrogateNew is the per-trace setup: validation, the one
+// compile pass (dependency DAG and pair traffic table) and buffer
+// allocation. Paid once per search, not per candidate.
 func BenchmarkSurrogateNew(b *testing.B) {
 	tr := testTrace(b)
 	fab := fabric.New()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := surrogate.New(tr, fab, ib.OpenMPI(), transport.Congested())
+		m, err := surrogate.NewReplay(tr, trace.ReplayConfig{Fabric: fab, Profile: ib.OpenMPI(), Policy: transport.Congested()})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -4,10 +4,11 @@
 // uses to screen large candidate batches before spending DES
 // evaluations on a shortlist.
 //
-// The model is built once per trace: the placement-independent traffic
-// matrix (trace.Traffic) plus a compiled form of the trace's dependency
-// DAG (per-rank programs and the send→recv matching). Pricing a
-// candidate mapping then combines analytic terms:
+// The model is built once per trace: one pass over the validated
+// records compiles the dependency DAG (per-rank programs, each recv
+// wired to the send its Dep names) and the placement-independent
+// per-pair traffic table. Pricing a candidate mapping then combines
+// analytic terms:
 //
 //   - a schedule walk of the compiled DAG — a deterministic list
 //     scheduler replaying the transport arithmetic in closed form:
@@ -21,8 +22,8 @@
 //   - the HCA-sharing bound: the hottest adapter's total streaming time
 //     under the multi-flow and duplex caps — the load-balance term the
 //     walk's completion-time view underweights;
-//   - an M/M/1-style waiting-time term per contended link — the traffic
-//     matrix folded through the topology's routes, read in
+//   - an M/M/1-style waiting-time term per contended link — the pair
+//     traffic table folded through the topology's routes, read in
 //     transport.PairPath admission order from the same transport route
 //     cache the DES uses (the model's own transport.Net; the model keeps
 //     no route table, and its per-link arrays are indexed by the net's
@@ -42,6 +43,7 @@ package surrogate
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"roadrunner/internal/fabric"
 	"roadrunner/internal/ib"
@@ -92,6 +94,10 @@ type compiled struct {
 	off  []int32  // rank r's ops are [off[r], off[r+1])
 	ops  []walkOp // the comm ops, rank-major
 	tail []int64  // per rank, compute after its last comm op
+	// traffic holds every directed rank pair that carries a message,
+	// source-major and destination-minor: the order every per-link and
+	// per-node float sum of a price runs in.
+	traffic []pairTraffic
 }
 
 // walkOp is one compiled communication op, packed so the walk streams
@@ -99,10 +105,17 @@ type compiled struct {
 type walkOp struct {
 	pre    int64 // compute folded in front of this op
 	size   int64
-	pair   int32 // dense index into the traffic matrix's Pairs
+	pair   int32 // per send, dense index into compiled.traffic
 	sendOf int32 // per recv, the matching send's op index
 	kind   uint8
 	rdv    bool
+}
+
+// pairTraffic is one directed rank pair's placement-independent
+// traffic: the messages sent src→dst and their summed payload.
+type pairTraffic struct {
+	src, dst    int32
+	msgs, bytes int64
 }
 
 // Model is the analytic pricer for one trace on one fabric. It is not
@@ -110,7 +123,6 @@ type walkOp struct {
 // (caches and buffers are per-instance, the compiled trace and
 // calibrated weights are shared read-only).
 type Model struct {
-	mat      *trace.TrafficMatrix
 	dag      *compiled
 	fab      *fabric.System
 	prof     ib.Profile
@@ -123,7 +135,7 @@ type Model struct {
 	eng *sim.Engine    // never run; owns the route-resolving net's state
 	net *transport.Net // route resolution only: its cache and link ids
 
-	// Per-candidate pair table (traffic-matrix Pairs order).
+	// Per-candidate pair table (compiled.traffic order).
 	pairs []pairInfo
 
 	// Per-candidate walk and load buffers.
@@ -145,20 +157,12 @@ type Model struct {
 	weights []float64 // shared across clones after Calibrate
 }
 
-// New builds the model for a validated trace on the given fabric,
-// profile and congestion policy. The traffic matrix and the compiled
-// DAG are computed here (once per trace); an invalid trace is an error.
-func New(tr *trace.Trace, fab *fabric.System, prof ib.Profile, pol transport.Policy) (*Model, error) {
-	return NewReplay(tr, trace.ReplayConfig{Fabric: fab, Profile: prof, Policy: pol})
-}
-
-// NewReplay builds the model matching a replay configuration: fabric,
-// profile, policy, ComputeScale and SkipCompute are honored, so the
-// surrogate prices exactly the objective the DES replays under that
-// configuration (Places and Observe have no meaning here). The
-// placement search uses this constructor — its objective may be the
-// comm-only schedule — and scaled what-if replays get a matching
-// surrogate for free.
+// NewReplay builds the model for a trace under a replay configuration:
+// fabric, profile, policy, ComputeScale and SkipCompute are honored, so
+// the surrogate prices exactly the objective the DES replays under that
+// configuration (Places and Observe have no meaning here). The trace is
+// validated and compiled here, once per trace; an invalid trace is an
+// error, never a panic.
 func NewReplay(tr *trace.Trace, cfg trace.ReplayConfig) (*Model, error) {
 	if cfg.Fabric == nil {
 		return nil, fmt.Errorf("surrogate: nil fabric")
@@ -173,12 +177,11 @@ func NewReplay(tr *trace.Trace, cfg trace.ReplayConfig) (*Model, error) {
 	if cfg.SkipCompute {
 		scale = 0
 	}
-	mat, err := tr.Traffic(cfg.Profile.EagerThreshold)
-	if err != nil {
+	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
-	dag := compile(tr, mat, cfg.Profile.EagerThreshold, scale)
-	m := newModel(mat, dag, cfg.Fabric, cfg.Profile, cfg.Policy)
+	dag := compile(tr, cfg.Profile.EagerThreshold, scale)
+	m := newModel(dag, cfg.Fabric, cfg.Profile, cfg.Policy)
 	// The physically-motivated prior: the walk's schedule IS the
 	// uncalibrated price — it already plays out HCA sharing and link
 	// admission, so the aggregate correction terms start at zero and
@@ -192,30 +195,34 @@ func NewReplay(tr *trace.Trace, cfg trace.ReplayConfig) (*Model, error) {
 // communication op (or the rank's tail) so the walk touches comm ops
 // only. Compute durations are scaled exactly as the evaluator scales
 // them (scale 0 strips them: the comm-only schedule).
-func compile(tr *trace.Trace, mat *trace.TrafficMatrix, eager units.Size, scale float64) *compiled {
+func compile(tr *trace.Trace, eager units.Size, scale float64) *compiled {
+	ranks := tr.Meta.Ranks
 	c := &compiled{
-		off:  make([]int32, mat.Ranks+1),
-		tail: make([]int64, mat.Ranks),
+		off:  make([]int32, ranks+1),
+		tail: make([]int64, ranks),
 	}
-	pairIdx := make(map[int64]int32, len(mat.Pairs))
-	for i, p := range mat.Pairs {
-		pairIdx[int64(p.Src)*int64(mat.Ranks)+int64(p.Dst)] = int32(i)
-	}
+	pairKey := func(src, dst int) int64 { return int64(src)*int64(ranks) + int64(dst) }
 	// One pass in canonical (rank-major) order: comm records append
-	// ops, compute accumulates into the pending pre-duration. The op
-	// index of each record's send is kept for the matching pass.
+	// ops, compute accumulates into the pending pre-duration, and keys
+	// collects each send's pair. first[r] is rank r's first record and
+	// opOf each record's op.
+	first := make([]int32, ranks)
 	opOf := make([]int32, len(tr.Records))
+	var keys []int64
 	var pre int64
 	for i, r := range tr.Records {
+		if r.Seq == 0 {
+			first[r.Rank] = int32(i)
+		}
 		switch r.Kind {
 		case trace.KindCompute:
 			pre += int64(units.Time(float64(r.Duration) * scale))
 		case trace.KindSend:
+			keys = append(keys, pairKey(r.Rank, r.Peer))
 			opOf[i] = int32(len(c.ops))
 			c.ops = append(c.ops, walkOp{
 				pre:    pre,
 				size:   int64(r.Size),
-				pair:   pairIdx[int64(r.Rank)*int64(mat.Ranks)+int64(r.Peer)],
 				sendOf: -1,
 				kind:   opSend,
 				rdv:    r.Size > eager,
@@ -233,39 +240,44 @@ func compile(tr *trace.Trace, mat *trace.TrafficMatrix, eager units.Size, scale 
 			pre = 0
 		}
 	}
-	// FIFO send/recv matching per channel, as the trace validator pairs
-	// them (the trace is already validated; matching cannot fail).
-	type chanKey struct{ src, dst, tag int }
-	sends := make(map[chanKey][]int32)
-	for i, r := range tr.Records {
-		if r.Kind == trace.KindSend {
-			k := chanKey{src: r.Rank, dst: r.Peer, tag: r.Tag}
-			sends[k] = append(sends[k], opOf[i])
-		}
-	}
-	for i, r := range tr.Records {
-		if r.Kind != trace.KindRecv {
-			continue
-		}
-		k := chanKey{src: r.Peer, dst: r.Rank, tag: r.Tag}
-		c.ops[opOf[i]].sendOf = sends[k][0]
-		sends[k] = sends[k][1:]
-	}
-	for r := 0; r < mat.Ranks; r++ {
+	for r := 0; r < ranks; r++ {
 		c.off[r+1] += c.off[r]
+	}
+	// The pair table is the distinct pair keys in sorted order:
+	// source-major, destination-minor.
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	c.traffic = make([]pairTraffic, len(keys))
+	for k, key := range keys {
+		c.traffic[k] = pairTraffic{src: int32(key / int64(ranks)), dst: int32(key % int64(ranks))}
+	}
+	// Each send adds to its pair's totals, and each recv is wired to its
+	// send: Validate proved that a recv's Dep is the Seq of its
+	// FIFO-matched send in Peer's stream, so that send is record
+	// first[Peer]+Dep.
+	for i, r := range tr.Records {
+		switch r.Kind {
+		case trace.KindSend:
+			k, _ := slices.BinarySearch(keys, pairKey(r.Rank, r.Peer))
+			c.ops[opOf[i]].pair = int32(k)
+			c.traffic[k].msgs++
+			c.traffic[k].bytes += int64(r.Size)
+		case trace.KindRecv:
+			c.ops[opOf[i]].sendOf = opOf[first[r.Peer]+int32(r.Dep)]
+		}
 	}
 	return c
 }
 
 // newModel builds one pricing instance over the shared compiled trace.
-func newModel(mat *trace.TrafficMatrix, dag *compiled, fab *fabric.System, prof ib.Profile, pol transport.Policy) *Model {
+func newModel(dag *compiled, fab *fabric.System, prof ib.Profile, pol transport.Policy) *Model {
+	ranks := len(dag.tail)
 	eng := sim.NewEngine()
 	waiter := make([]int32, len(dag.ops))
 	for i := range waiter {
 		waiter[i] = -1
 	}
 	return &Model{
-		mat:      mat,
 		dag:      dag,
 		fab:      fab,
 		prof:     prof,
@@ -275,37 +287,34 @@ func newModel(mat *trace.TrafficMatrix, dag *compiled, fab *fabric.System, prof 
 		dupPs:    psPerByte(prof.DuplexAggregate),
 		eng:      eng,
 		net:      transport.New(eng, fab, prof, pol),
-		pairs:    make([]pairInfo, len(mat.Pairs)),
-		rk:       make([]walkRank, mat.Ranks),
+		pairs:    make([]pairInfo, len(dag.traffic)),
+		rk:       make([]walkRank, ranks),
 		deliv:    make([]int64, len(dag.ops)),
 		waiter:   waiter,
 		nOutC:    make([]int32, fab.Nodes()),
 		nInC:     make([]int32, fab.Nodes()),
-		ends:     walkQueue{q: make([]walkEv, 0, 2*mat.Ranks+1)},
-		starts:   walkQueue{q: make([]walkEv, 0, 2*mat.Ranks+1)},
-		work:     make([]int32, 0, mat.Ranks),
+		ends:     walkQueue{q: make([]walkEv, 0, 2*ranks+1)},
+		starts:   walkQueue{q: make([]walkEv, 0, 2*ranks+1)},
+		work:     make([]int32, 0, ranks),
 		nin:      make([]float64, fab.Nodes()),
 		nout:     make([]float64, fab.Nodes()),
 	}
 }
 
-// Clone returns an instance sharing the compiled trace, the traffic
-// matrix and the calibrated weights but owning its route-resolving net
+// Clone returns an instance sharing the compiled trace and the
+// calibrated weights but owning its route-resolving net
 // (with its route cache) and buffers, all mutated during pricing, for
 // one worker of a parallel search. Calibrate before cloning; clones price
 // identically to the original — the walk's event order and float
 // summation follow canonical orders, never cache history.
 func (m *Model) Clone() *Model {
-	c := newModel(m.mat, m.dag, m.fab, m.prof, m.pol)
+	c := newModel(m.dag, m.fab, m.prof, m.pol)
 	c.weights = m.weights
 	return c
 }
 
 // Close releases the engine backing the route-resolving net.
 func (m *Model) Close() { m.eng.Close() }
-
-// Matrix returns the trace's traffic matrix the model prices.
-func (m *Model) Matrix() *trace.TrafficMatrix { return m.mat }
 
 // Weights returns the current term weights (FeatureNames order).
 func (m *Model) Weights() []float64 { return append([]float64(nil), m.weights...) }
@@ -440,8 +449,8 @@ func (m *Model) Features(places []transport.Endpoint) []float64 {
 
 // features fills and returns the model's reusable feature array.
 func (m *Model) features(places []transport.Endpoint) *[NumFeatures]float64 {
-	if len(places) != m.mat.Ranks {
-		panic(fmt.Sprintf("surrogate: %d placements for %d ranks", len(places), m.mat.Ranks))
+	if len(places) != len(m.rk) {
+		panic(fmt.Sprintf("surrogate: %d placements for %d ranks", len(places), len(m.rk)))
 	}
 	// Reset only what the previous candidate touched.
 	for _, li := range m.ltouch {
@@ -458,9 +467,9 @@ func (m *Model) features(places []transport.Endpoint) *[NumFeatures]float64 {
 	// Pass 1 — per-pair tables under this mapping, plus per-link and
 	// per-node offered load, in canonical pair order.
 	o1 := int64(m.prof.PerSideOverhead)
-	for pi := range m.mat.Pairs {
-		p := &m.mat.Pairs[pi]
-		src, dst := places[p.Src], places[p.Dst]
+	for pi := range m.dag.traffic {
+		p := &m.dag.traffic[pi]
+		src, dst := places[p.src], places[p.dst]
 		pe := &m.pairs[pi]
 		pe.fix = o1
 		if src.Node == dst.Node {
@@ -479,7 +488,7 @@ func (m *Model) features(places []transport.Endpoint) *[NumFeatures]float64 {
 		pe.stream = psPerByte(m.prof.PairBandwidth(src.Core, dst.Core))
 		pe.links = pp.LinkIDs()
 		m.growLinks()
-		b, msgs := float64(p.Bytes), float64(p.Msgs)
+		b, msgs := float64(p.bytes), float64(p.msgs)
 		for _, li := range pe.links {
 			if m.lmsgs[li] == 0 {
 				m.ltouch = append(m.ltouch, li)
@@ -569,7 +578,7 @@ func (m *Model) walk() int64 {
 	ends.reset()
 	starts.reset()
 	work := m.work[:0]
-	for r := m.mat.Ranks - 1; r >= 0; r-- {
+	for r := len(rk) - 1; r >= 0; r-- {
 		rk[r].pc = d.off[r]
 		work = append(work, int32(r))
 	}

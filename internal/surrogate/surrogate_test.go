@@ -67,7 +67,7 @@ func perturb(base []transport.Endpoint, seed int64, swaps int) []transport.Endpo
 func TestPriceDeterministicAcrossClonesAndCalls(t *testing.T) {
 	tr := testTrace(t)
 	fab := fabric.NewScaled(4)
-	m, err := surrogate.New(tr, fab, ib.OpenMPI(), transport.Congested())
+	m, err := surrogate.NewReplay(tr, trace.ReplayConfig{Fabric: fab, Profile: ib.OpenMPI(), Policy: transport.Congested()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestPriceDeterministicAcrossClonesAndCalls(t *testing.T) {
 func TestPriceSpreadsCandidates(t *testing.T) {
 	tr := testTrace(t)
 	fab := fabric.NewScaled(4)
-	m, err := surrogate.New(tr, fab, ib.OpenMPI(), transport.Congested())
+	m, err := surrogate.NewReplay(tr, trace.ReplayConfig{Fabric: fab, Profile: ib.OpenMPI(), Policy: transport.Congested()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,10 +129,9 @@ func TestPriceSpreadsCandidates(t *testing.T) {
 func TestCalibratedSpearmanVsDES(t *testing.T) {
 	tr := testTrace(t)
 	fab := fabric.New()
-	prof := ib.OpenMPI()
-	pol := transport.Congested()
+	cfg := trace.ReplayConfig{Fabric: fab, Profile: ib.OpenMPI(), Policy: transport.Congested()}
 
-	ev, err := trace.NewEvaluator(tr, trace.ReplayConfig{Fabric: fab, Profile: prof, Policy: pol})
+	ev, err := trace.NewEvaluator(tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +144,7 @@ func TestCalibratedSpearmanVsDES(t *testing.T) {
 		return res.Time
 	}
 
-	m, err := surrogate.New(tr, fab, prof, pol)
+	m, err := surrogate.NewReplay(tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +185,7 @@ func TestCalibratedSpearmanVsDES(t *testing.T) {
 func TestCalibrateRejectsBadInput(t *testing.T) {
 	tr := testTrace(t)
 	fab := fabric.NewScaled(2)
-	m, err := surrogate.New(tr, fab, ib.OpenMPI(), transport.Congested())
+	m, err := surrogate.NewReplay(tr, trace.ReplayConfig{Fabric: fab, Profile: ib.OpenMPI(), Policy: transport.Congested()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,6 +196,31 @@ func TestCalibrateRejectsBadInput(t *testing.T) {
 	}
 	if err := m.Calibrate([][]transport.Endpoint{b}, []units.Time{1, 2}); err == nil {
 		t.Error("calibrated on mismatched anchor/time lengths")
+	}
+}
+
+// TestNewReplayInvalidTraceErrors: a trace Validate rejects is an
+// error from NewReplay, never a panic in the compile that trusts it.
+func TestNewReplayInvalidTraceErrors(t *testing.T) {
+	cfg := trace.ReplayConfig{Fabric: fabric.NewScaled(1), Profile: ib.OpenMPI()}
+	send := trace.Record{Rank: 0, Seq: 0, Kind: trace.KindSend, Peer: 1, Size: 8, Dep: trace.NoDep}
+	recv := trace.Record{Rank: 1, Seq: 0, Kind: trace.KindRecv, Peer: 0, Size: 8, Dep: 0}
+	farDep := recv
+	farDep.Dep = 5
+	cases := []struct {
+		name string
+		recs []trace.Record
+	}{
+		{"unmatched send", []trace.Record{send}},
+		{"orphan recv", []trace.Record{recv}},
+		{"dep past send", []trace.Record{send, farDep}},
+	}
+	for _, tc := range cases {
+		tr := &trace.Trace{Meta: trace.Meta{Name: "bad", Ranks: 2}, Records: tc.recs}
+		if m, err := surrogate.NewReplay(tr, cfg); err == nil {
+			m.Close()
+			t.Errorf("%s: built a model", tc.name)
+		}
 	}
 }
 

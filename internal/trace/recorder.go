@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 
 	"roadrunner/internal/units"
 )
@@ -96,35 +95,22 @@ func (rec *Recorder) Trace() (*Trace, error) {
 // pairing the k-th recv on a channel with the k-th send. Sends are
 // matched in the sender's program order and recvs in the receiver's —
 // the FIFO channel discipline the replay engine (and MPI message
-// ordering between a rank pair with one tag) guarantees.
+// ordering between a rank pair with one tag) guarantees. A recv
+// without a matching send is an error (the first in record order).
 func resolveDeps(t *Trace) error {
-	sendSeqs := make(map[chanKey][]int)
-	for _, r := range t.Records {
-		if r.Kind == KindSend {
-			k := chanKey{src: r.Rank, dst: r.Peer, tag: r.Tag}
-			sendSeqs[k] = append(sendSeqs[k], r.Seq)
+	sends, recvs := t.channels()
+	orphan := -1
+	for k, rs := range recvs {
+		for j, ri := range rs {
+			if j < len(sends[k]) {
+				t.Records[ri].Dep = t.Records[sends[k][j]].Seq
+			} else if orphan < 0 || ri < orphan {
+				orphan = ri
+			}
 		}
 	}
-	// Per-channel send order is the sender's seq order; records are
-	// appended rank-major here, so each channel's list is already
-	// ascending. Sort anyway to keep the invariant independent of the
-	// append order.
-	for _, seqs := range sendSeqs {
-		sort.Ints(seqs)
-	}
-	next := make(map[chanKey]int)
-	for i := range t.Records {
-		r := &t.Records[i]
-		if r.Kind != KindRecv {
-			continue
-		}
-		k := chanKey{src: r.Peer, dst: r.Rank, tag: r.Tag}
-		j := next[k]
-		if j >= len(sendSeqs[k]) {
-			return fmt.Errorf("trace: capture: %v has no matching send", *r)
-		}
-		r.Dep = sendSeqs[k][j]
-		next[k] = j + 1
+	if orphan >= 0 {
+		return fmt.Errorf("trace: capture: %v has no matching send", t.Records[orphan])
 	}
 	return nil
 }

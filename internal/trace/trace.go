@@ -301,27 +301,30 @@ func (t *Trace) Validate() error {
 	return t.validateMatching()
 }
 
-// validateMatching pairs sends with recvs per channel and runs the
-// acyclicity check over the resulting dependency graph.
-func (t *Trace) validateMatching() error {
-	// Global index of each record, for graph edges.
-	type ref struct {
-		idx  int // index into t.Records
-		size units.Size
-		seq  int
-	}
-	sends := make(map[chanKey][]ref)
-	recvs := make(map[chanKey][]ref)
+// channels groups the record indices of sends and recvs by channel,
+// each list in program order (records are in canonical order): the k-th
+// recv on a channel matches its k-th send. The recorder resolves Deps
+// and validateMatching checks them with this one pairing.
+func (t *Trace) channels() (sends, recvs map[chanKey][]int) {
+	sends = make(map[chanKey][]int)
+	recvs = make(map[chanKey][]int)
 	for i, r := range t.Records {
 		switch r.Kind {
 		case KindSend:
 			k := chanKey{src: r.Rank, dst: r.Peer, tag: r.Tag}
-			sends[k] = append(sends[k], ref{idx: i, size: r.Size, seq: r.Seq})
+			sends[k] = append(sends[k], i)
 		case KindRecv:
 			k := chanKey{src: r.Peer, dst: r.Rank, tag: r.Tag}
-			recvs[k] = append(recvs[k], ref{idx: i, size: r.Size, seq: r.Seq})
+			recvs[k] = append(recvs[k], i)
 		}
 	}
+	return sends, recvs
+}
+
+// validateMatching pairs sends with recvs per channel and runs the
+// acyclicity check over the resulting dependency graph.
+func (t *Trace) validateMatching() error {
+	sends, recvs := t.channels()
 	// sendEdge[i] is the recv record index the send at index i unblocks
 	// (-1 for non-sends and the final sentinel).
 	sendEdge := make([]int, len(t.Records))
@@ -334,17 +337,16 @@ func (t *Trace) validateMatching() error {
 			return fmt.Errorf("trace: channel %d->%d tag %d: %d sends but %d recvs",
 				k.src, k.dst, k.tag, len(ss), len(rs))
 		}
-		for j, s := range ss {
-			r := rs[j]
-			rec := t.Records[r.idx]
-			if rec.Dep != s.seq {
+		for j, si := range ss {
+			s, rec := t.Records[si], t.Records[rs[j]]
+			if rec.Dep != s.Seq {
 				return fmt.Errorf("trace: %v: dep %d, want seq %d of the matching send (FIFO on channel %d->%d tag %d)",
-					rec, rec.Dep, s.seq, k.src, k.dst, k.tag)
+					rec, rec.Dep, s.Seq, k.src, k.dst, k.tag)
 			}
-			if r.size != s.size {
-				return fmt.Errorf("trace: %v: size %v but matching send carries %v", rec, r.size, s.size)
+			if rec.Size != s.Size {
+				return fmt.Errorf("trace: %v: size %v but matching send carries %v", rec, rec.Size, s.Size)
 			}
-			sendEdge[s.idx] = r.idx
+			sendEdge[si] = rs[j]
 		}
 	}
 	for k, rs := range recvs {

@@ -166,15 +166,6 @@ const (
 	GHz Frequency = 1e9
 )
 
-// Cycle returns the duration of one clock period, rounded to the nearest
-// picosecond.
-func (f Frequency) Cycle() Time {
-	if f <= 0 {
-		return 0
-	}
-	return FromSeconds(1 / float64(f))
-}
-
 // Cycles returns the duration of n clock periods. The multiplication is
 // carried out in float64 before rounding so that the error does not
 // accumulate per cycle (3.2 GHz is a 312.5 ps period; 2 cycles must be
@@ -185,9 +176,6 @@ func (f Frequency) Cycles(n int64) Time {
 	}
 	return FromSeconds(float64(n) / float64(f))
 }
-
-// GHzF returns the frequency in GHz.
-func (f Frequency) GHzF() float64 { return float64(f) / float64(GHz) }
 
 // String renders the frequency.
 func (f Frequency) String() string {
